@@ -3,9 +3,11 @@
 Every operation of the library is reachable on JSON documents: measures
 and couplings are files (or bundled fixture names), reports are printed
 to standard output with fixed-precision floats so identical invocations
-are byte-identical. Exit codes: 0 success, 2 validation error, 3 when a
-perturbation hypothesis fails and the report therefore asserts nothing,
-1 internal error.
+are byte-identical. Exit codes: 0 success, 2 validation error
+(including unreadable paths and measure or coupling documents that are
+not JSON objects), 3 when a perturbation hypothesis fails and the report
+therefore asserts nothing, 1 internal error (including a failed
+optimality certificate or a violated theorem bound).
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ def _inputs(args) -> list[str]:
     return list(args.inputs) + list(args.fixture or [])
 
 
+def _dual_doc(dual: DiscreteMeasure, coupling: Coupling, args) -> dict:
+    return {
+        "dual": measure_to_dict(dual),
+        "coupling": coupling_to_dict(coupling),
+        "certificate": certificate_to_dict(certify(coupling, tol=args.tol)),
+    }
+
+
 def _measure_summary(m: DiscreteMeasure) -> dict:
     report = analyze(m)
     doc = frame_report_to_dict(report)
@@ -151,26 +161,19 @@ def _cmd_certify(args):
 
 def _cmd_canonical_dual(args):
     (name,) = _inputs(args)
-    dual, coupling = canonical_dual(_measure(name))
-    return {
-        "dual": measure_to_dict(dual),
-        "coupling": coupling_to_dict(coupling),
-        "certificate": certificate_to_dict(certify(coupling, tol=args.tol)),
-    }, True
+    return _dual_doc(*canonical_dual(_measure(name)), args), True
 
 
 def _cmd_approx_dual(args):
     (name,) = _inputs(args)
-    dual, coupling = approx_dual_pushforward(_measure(name), _matrix(args.operator))
-    return {
-        "dual": measure_to_dict(dual),
-        "coupling": coupling_to_dict(coupling),
-        "certificate": certificate_to_dict(certify(coupling, tol=args.tol)),
-    }, True
+    dual_pair = approx_dual_pushforward(_measure(name), _matrix(args.operator))
+    return _dual_doc(*dual_pair, args), True
 
 
 def _cmd_neumann(args):
     (name,) = _inputs(args)
+    if args.terms < 0:
+        raise ValueError(f"--terms must be at least 0, got {args.terms}")
     c = _coupling(name)
     sequence = []
     dual = corrected = None
@@ -192,12 +195,7 @@ def _cmd_neumann(args):
 
 def _cmd_rescue(args):
     (name,) = _inputs(args)
-    dual, coupling = rescue_exact_dual(_coupling(name))
-    return {
-        "dual": measure_to_dict(dual),
-        "coupling": coupling_to_dict(coupling),
-        "certificate": certificate_to_dict(certify(coupling, tol=args.tol)),
-    }, True
+    return _dual_doc(*rescue_exact_dual(_coupling(name)), args), True
 
 
 def _cmd_pushforward(args):
@@ -208,12 +206,7 @@ def _cmd_pushforward(args):
         if args.offsets
         else np.zeros((m.size, m.dim))
     )
-    dual, coupling = pushforward_dual(m, offsets)
-    return {
-        "dual": measure_to_dict(dual),
-        "coupling": coupling_to_dict(coupling),
-        "certificate": certificate_to_dict(certify(coupling, tol=args.tol)),
-    }, True
+    return _dual_doc(*pushforward_dual(m, offsets), args), True
 
 
 def _cmd_uncertainty(args):
@@ -245,28 +238,18 @@ def _cmd_perturb(args):
     c = _coupling(args.coupling) if args.coupling else None
     if args.mode == "bound":
         report = perturbed_frame_bound(mu, eta, c)
-        return {"mode": "bound", **report_to_dict(report)}, report.all_checked_hold
-    if not args.dual:
-        raise ProbFramesError(f"mode '{args.mode}' needs --dual COUPLING")
-    dual = _coupling(args.dual)
-    if c is None:
-        c = solve_w2(eta, mu).plan
-    if args.mode == "glue":
-        report = perturbed_approx_dual(mu, dual, eta, c)
-        return {"mode": "glue", **report_to_dict(report)}, report.all_checked_hold
-    if args.mode == "variants":
-        report = variant_certificates(mu, dual, eta, c)
-        return {
-            "mode": "variants",
-            **report_to_dict(report),
-        }, report.all_checked_hold
-    xi, coupling = matched_mixed_dual(mu, dual, eta, c)
-    return {
-        "mode": "matched",
-        "dual": measure_to_dict(xi),
-        "coupling": coupling_to_dict(coupling),
-        "certificate": certificate_to_dict(certify(coupling, tol=args.tol)),
-    }, True
+    else:
+        if not args.dual:
+            raise ProbFramesError(f"mode '{args.mode}' needs --dual COUPLING")
+        dual = _coupling(args.dual)
+        if c is None:
+            c = solve_w2(eta, mu).plan
+        if args.mode == "matched":
+            matched = matched_mixed_dual(mu, dual, eta, c)
+            return {"mode": "matched", **_dual_doc(*matched, args)}, True
+        build = perturbed_approx_dual if args.mode == "glue" else variant_certificates
+        report = build(mu, dual, eta, c)
+    return {"mode": args.mode, **report_to_dict(report)}, report.all_checked_hold
 
 
 def _cmd_sample_dual(args):
@@ -348,10 +331,7 @@ def main(argv=None) -> int:
     handler, _ = COMMANDS[args.command]
     try:
         doc, hypotheses_ok = handler(args)
-    except (ProbFramesError, FileNotFoundError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (ProbFramesError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # anything else is a bug, not bad input

@@ -30,8 +30,8 @@ from .errors import (
     SingularMixedOperator,
     SourceMismatch,
 )
-from .frames import analyze, _inverse_frame_operator
-from .measures import DiscreteMeasure
+from .frames import analyze, frame_operator, _inverse_frame_operator
+from .measures import DiscreteMeasure, same_measure
 from .numerics import inverse, spectral_norm
 from .transport import Coupling, graph_coupling, mixed_frame_operator, push_target
 
@@ -90,6 +90,14 @@ def certify(c: Coupling, tol: float = EXACT_TOL) -> DualCertificate:
         dual_lower_bound=lower,
         dual_upper_bound=upper,
     )
+
+
+def _require_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a mixed frame operator; SingularMixedOperator if none."""
+    try:
+        return inverse(a)
+    except Singular:
+        raise SingularMixedOperator("mixed frame operator is not invertible") from None
 
 
 def approx_dual_pushforward(
@@ -171,12 +179,7 @@ def rescue_exact_dual(c: Coupling) -> tuple[DiscreteMeasure, Coupling]:
     operator; the resulting pair has mixed operator Id.
     """
     cert = certify(c)
-    try:
-        a_t_inv = inverse(cert.mixed_operator.T)
-    except Singular:
-        raise SingularMixedOperator(
-            "mixed frame operator is not invertible"
-        ) from None
+    a_t_inv = _require_inverse(cert.mixed_operator.T)
     rescued = push_target(c, c.target.atoms @ a_t_inv.T)
     return rescued.target, rescued
 
@@ -189,17 +192,10 @@ def uncertainty_product(c: Coupling, f) -> tuple[float, float]:
     the inequality lhs >= rhs holds by Cauchy-Schwarz through the plan.
     """
     cert = certify(c)
-    try:
-        a_inv = inverse(cert.mixed_operator)
-    except Singular:
-        raise SingularMixedOperator(
-            "mixed frame operator is not invertible"
-        ) from None
+    a_inv = _require_inverse(cert.mixed_operator)
     fv = np.asarray(f, dtype=float).reshape(-1)
     if fv.shape[0] != c.source.dim:
         raise DimMismatch(f"f has dimension {fv.shape[0]}, expected {c.source.dim}")
-    from .frames import frame_operator
-
     g = a_inv.T @ fv
     lhs = float(g @ frame_operator(c.source) @ g) * float(
         fv @ frame_operator(c.target) @ fv
@@ -234,14 +230,7 @@ def bound_inequalities(c: Coupling, tol: float = 1e-8) -> BoundInequalities:
     target_report = analyze(c.target)
     if not (source_report.is_frame and target_report.is_frame):
         raise NotAFrame("both marginals must be frames")
-    cert = certify(c)
-    try:
-        a_inv = inverse(cert.mixed_operator)
-    except Singular:
-        raise SingularMixedOperator(
-            "mixed frame operator is not invertible"
-        ) from None
-    inv_norm = spectral_norm(a_inv)
+    inv_norm = spectral_norm(_require_inverse(certify(c).mixed_operator))
     target_floor = 1.0 / (source_report.upper_bound * inv_norm**2)
     source_floor = 1.0 / (target_report.upper_bound * inv_norm**2)
     target_slack = target_report.lower_bound - target_floor
@@ -270,13 +259,7 @@ def convex_combination_certificate(
     """
     if not 0.0 <= w <= 1.0:
         raise BadWeights(f"mixture weight {w} is outside [0, 1]")
-    same = (
-        c1.source.size == c2.source.size
-        and c1.source.dim == c2.source.dim
-        and float(np.abs(c1.source.atoms - c2.source.atoms).max()) <= SOURCE_TOL
-        and float(np.abs(c1.source.weights - c2.source.weights).max()) <= SOURCE_TOL
-    )
-    if not same:
+    if not same_measure(c1.source, c2.source, SOURCE_TOL):
         raise SourceMismatch("couplings do not share their source measure")
     d1, d2 = certify(c1, tol), certify(c2, tol)
     if not (d1.deviation < 1.0 and d2.deviation < 1.0):

@@ -2,7 +2,9 @@
 
 Every error raised on bad input or a failed precondition derives from
 ProbFramesError so callers (and the CLI) can distinguish validation
-failures from genuine bugs.
+failures from genuine bugs. A broken guarantee of the package itself
+raises InternalInvariantError, which deliberately stands outside that
+hierarchy.
 """
 
 
@@ -68,3 +70,13 @@ class EtaNotFrame(ProbFramesError):
 
 class TooFewSamples(ProbFramesError):
     """Requested subsample is too small to span the ambient space."""
+
+
+class InternalInvariantError(Exception):
+    """A check the package runs on its own result failed: a bug, not bad input.
+
+    Raised for a failed optimality certificate, a simplex that does not
+    terminate, and a perturbation bound violated although its hypotheses
+    hold. It derives from neither ProbFramesError nor ValueError, so the
+    CLI reports it as an internal error.
+    """

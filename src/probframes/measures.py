@@ -78,13 +78,8 @@ class DiscreteMeasure:
         representative, so the result is deterministic. tol=0 merges
         exact duplicates only.
         """
-        reps, assign = group_atoms(self.atoms, tol)
-        if len(reps) == self.size:
-            return self
-        weights = np.zeros(len(reps))
-        for i, g in enumerate(assign):
-            weights[g] += self.weights[i]
-        return DiscreteMeasure(self.atoms[reps], weights)
+        merged, _ = merge_atoms(self.atoms, self.weights, tol)
+        return self if merged.size == self.size else merged
 
     def pushforward_linear(self, a) -> "DiscreteMeasure":
         """Image measure under x -> A x; colliding images are merged."""
@@ -149,6 +144,31 @@ def group_atoms(atoms: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
     return reps, assign
 
 
+def merge_atoms(
+    atoms, weights, tol: float = COALESCE_TOL
+) -> tuple[DiscreteMeasure, np.ndarray]:
+    """Merge atoms grouped by group_atoms, summing weights in atom order.
+
+    Returns the merged measure and the group index of every input atom.
+    """
+    points = _as_atoms(atoms)
+    reps, assign = group_atoms(points, tol)
+    merged = np.zeros(len(reps))
+    np.add.at(merged, assign, weights)
+    return DiscreteMeasure(points[reps], merged), assign
+
+
+def same_measure(a: DiscreteMeasure, b: DiscreteMeasure, tol: float) -> bool:
+    """Atom-by-atom equality: same size and dimension, each atom within
+    Euclidean distance tol of its partner, each weight within tol."""
+    return (
+        a.size == b.size
+        and a.dim == b.dim
+        and float(np.linalg.norm(a.atoms - b.atoms, axis=1).max()) <= tol
+        and float(np.abs(a.weights - b.weights).max()) <= tol
+    )
+
+
 def dirac(point) -> DiscreteMeasure:
     """Unit mass at a single point."""
     p = np.atleast_1d(np.asarray(point, dtype=float))
@@ -193,6 +213,8 @@ def measure_to_dict(m: DiscreteMeasure) -> dict:
 
 
 def measure_from_dict(d: dict) -> DiscreteMeasure:
+    if not isinstance(d, dict):
+        raise DimMismatch("measure document is not a JSON object")
     if "atoms" not in d:
         raise DimMismatch("measure document lacks 'atoms'")
     atoms = _as_atoms(d["atoms"])

@@ -16,21 +16,26 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .duals import DualCertificate, certify
+from .duals import DualCertificate, _require_inverse, certificate_to_dict, certify
 from .errors import (
     EtaNotFrame,
+    InternalInvariantError,
     MarginalMismatch,
     NotApproximate,
     NotExactDual,
-    ProbFramesError,
-    Singular,
-    SingularMixedOperator,
     TooFewSamples,
 )
 from .frames import analyze, canonical_dual
-from .measures import DiscreteMeasure, uniform
+from .measures import DiscreteMeasure, same_measure, uniform
 from .numerics import eig_sym, inverse
-from .transport import Coupling, glue, solve_w2, transport_cost
+from .transport import (
+    Coupling,
+    _transport_simplex,
+    glue,
+    graph_coupling,
+    solve_w2,
+    transport_cost,
+)
 
 MATCH_TOL = 1e-10
 
@@ -79,13 +84,13 @@ class PerturbationReport:
 
 def _expect_marginals(c: Coupling, left: DiscreteMeasure, right: DiscreteMeasure):
     for got, want, side in ((c.source, left, "source"), (c.target, right, "target")):
-        if (
-            got.size != want.size
-            or got.dim != want.dim
-            or float(np.abs(got.atoms - want.atoms).max()) > MATCH_TOL
-            or float(np.abs(got.weights - want.weights).max()) > MATCH_TOL
-        ):
+        if not same_measure(got, want, MATCH_TOL):
             raise MarginalMismatch(f"coupling {side} is not the expected measure")
+
+
+def _bound_estimate(a: float, lam: float) -> float | None:
+    """Guaranteed lower bound (sqrt(A) - sqrt(lambda))^2; None unless lambda < A."""
+    return (math.sqrt(a) - math.sqrt(lam)) ** 2 if lam < a else None
 
 
 def perturbed_frame_bound(
@@ -108,10 +113,10 @@ def perturbed_frame_bound(
     lam = transport_cost(c)
     a = mu_report.lower_bound
     close = lam < a
-    estimate = (math.sqrt(a) - math.sqrt(lam)) ** 2 if close else None
+    estimate = _bound_estimate(a, lam)
     eta_lower = analyze(eta).lower_bound
     if close and eta_lower < estimate - 1e-9:
-        raise ProbFramesError(
+        raise InternalInvariantError(
             "perturbation bound violated: measured "
             f"{eta_lower:.17g} below estimate {estimate:.17g}"
         )
@@ -153,15 +158,13 @@ def perturbed_approx_dual(
     if close and product_ok:
         bound = math.sqrt(a * cap) + 1e-9
         if not glued_cert.deviation < bound:
-            raise ProbFramesError(
+            raise InternalInvariantError(
                 f"glued deviation {glued_cert.deviation:.17g} "
                 f"exceeds the guaranteed bound {bound:.17g}"
             )
     return PerturbationReport(
         quadratic_cost=lam,
-        lower_bound_estimate=(
-            (math.sqrt(a) - math.sqrt(lam)) ** 2 if close else None
-        ),
+        lower_bound_estimate=_bound_estimate(a, lam),
         flags=HypothesisFlags(quadratic_closeness=close, product_bound=product_ok),
         certificate=glued_cert,
         details={"base_lower_bound": a, "dual_upper_bound": cap},
@@ -198,12 +201,7 @@ def variant_certificates(
     _expect_marginals(base, mu, base.target)
     _expect_marginals(c, eta, mu)
     base_cert = certify(base)
-    try:
-        a_inv = inverse(base_cert.mixed_operator)
-    except Singular:
-        raise SingularMixedOperator(
-            "base mixed frame operator is not invertible"
-        ) from None
+    a_inv = _require_inverse(base_cert.mixed_operator)
     lam = transport_cost(c)
     c_direction = eig_sym(_displacement_matrix(c)).largest
     nu = base.target
@@ -217,16 +215,14 @@ def variant_certificates(
     inverse_ok = displaced < 1.0 / c_nu
     glued_cert = certify(glue(c, base))
     if (moment_ok or inverse_ok) and not glued_cert.deviation < 1.0 + 1e-9:
-        raise ProbFramesError(
+        raise InternalInvariantError(
             f"glued deviation {glued_cert.deviation:.17g} not below 1 "
             "despite a satisfied hypothesis"
         )
     a = analyze(mu).lower_bound
     return PerturbationReport(
         quadratic_cost=lam,
-        lower_bound_estimate=(
-            (math.sqrt(a) - math.sqrt(lam)) ** 2 if lam < a else None
-        ),
+        lower_bound_estimate=_bound_estimate(a, lam),
         flags=HypothesisFlags(
             quadratic_closeness=lam < a,
             moment_bound=moment_ok,
@@ -272,8 +268,6 @@ def matched_mixed_dual(
     if not eta_report.is_frame:
         raise EtaNotFrame("perturbed measure is not a frame")
     s_inv = inverse(eta_report.frame_operator)
-    from .transport import graph_coupling
-
     coupling = graph_coupling(eta, eta.atoms @ s_inv @ base_cert.mixed_operator)
     return coupling.target, coupling
 
@@ -296,8 +290,6 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     total = eta.size
     if n >= total:
         return uniform(atoms)
-    from .transport import _transport_simplex
-
     sq = cdist(atoms, atoms, "sqeuclidean")
     sub_weights = np.full(n, 1.0 / n)
     chosen = [int(np.argmax(eta.weights))]
@@ -379,15 +371,16 @@ def discrete_dual_pipeline(
         reference = uniform(
             np.asarray(eta(rng, max(200, 4 * n_samples)), dtype=float)
         )
+        reference_report = analyze(reference)
         estimated = True
     else:
         if n_samples < eta.dim:
             raise TooFewSamples(
                 f"{n_samples} atoms cannot span dimension {eta.dim}"
             )
-        if not analyze(eta).is_frame:
+        reference, reference_report = eta, analyze(eta)
+        if not reference_report.is_frame:
             raise EtaNotFrame("input measure is not a frame")
-        reference = eta
         already_uniform = (
             eta.size == n_samples
             and float(np.abs(eta.weights - 1.0 / n_samples).max()) <= 1e-12
@@ -398,7 +391,7 @@ def discrete_dual_pipeline(
         raise EtaNotFrame("subsample does not span the ambient space")
     nu_hat, dual_coupling = canonical_dual(mu_hat)
     transport = solve_w2(reference, mu_hat)
-    a_eta = analyze(reference).lower_bound
+    a_eta = reference_report.lower_bound
     if a_n is None:
         a_n = a_eta / 4.0
     c_n = analyze(nu_hat).upper_bound
@@ -406,7 +399,7 @@ def discrete_dual_pipeline(
     product_ok = a_n * c_n <= 1.0 + 1e-12
     glued_cert = certify(glue(transport.plan, dual_coupling))
     if w2_ok and product_ok and not glued_cert.deviation < 1.0:
-        raise ProbFramesError(
+        raise InternalInvariantError(
             f"pipeline deviation {glued_cert.deviation:.17g} not below 1 "
             "despite satisfied hypotheses"
         )
@@ -416,9 +409,7 @@ def discrete_dual_pipeline(
         nu_hat,
         PerturbationReport(
             quadratic_cost=lam,
-            lower_bound_estimate=(
-                (math.sqrt(a_eta) - math.sqrt(lam)) ** 2 if lam < a_eta else None
-            ),
+            lower_bound_estimate=_bound_estimate(a_eta, lam),
             flags=HypothesisFlags(
                 quadratic_closeness=w2_ok, product_bound=product_ok
             ),
@@ -436,8 +427,6 @@ def discrete_dual_pipeline(
 
 
 def report_to_dict(r: PerturbationReport) -> dict:
-    from .duals import certificate_to_dict
-
     return {
         "lambda": r.quadratic_cost,
         "lower_bound_estimate": r.lower_bound_estimate,

@@ -19,8 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DimMismatch, MarginalMismatch, ProbFramesError, Unsupported
-from .measures import DiscreteMeasure, group_atoms, COALESCE_TOL
+from .errors import DimMismatch, InternalInvariantError, MarginalMismatch, Unsupported
+from .measures import (
+    DiscreteMeasure,
+    measure_from_dict,
+    measure_to_dict,
+    merge_atoms,
+    same_measure,
+)
 from .numerics import as_matrix
 
 MARGINAL_TOL = 1e-10
@@ -83,17 +89,11 @@ def graph_coupling(mu: DiscreteMeasure, images) -> Coupling:
     single target atom whose plan column collects the incoming mass.
     """
     imgs = np.asarray(images, dtype=float)
-    if imgs.ndim == 1:
-        imgs = imgs.reshape(-1, 1)
     if imgs.shape[0] != mu.size:
         raise DimMismatch(f"need {mu.size} images, got {imgs.shape[0]}")
-    reps, assign = group_atoms(imgs, COALESCE_TOL)
-    weights = np.zeros(len(reps))
-    plan = np.zeros((mu.size, len(reps)))
-    for i, g in enumerate(assign):
-        weights[g] += mu.weights[i]
-        plan[i, g] = mu.weights[i]
-    target = DiscreteMeasure(imgs[reps], weights)
+    target, assign = merge_atoms(imgs, mu.weights)
+    plan = np.zeros((mu.size, target.size))
+    plan[np.arange(mu.size), assign] = mu.weights
     return Coupling(mu, target, plan)
 
 
@@ -105,17 +105,11 @@ def push_target(c: Coupling, images) -> Coupling:
     merged and their plan columns summed.
     """
     imgs = np.asarray(images, dtype=float)
-    if imgs.ndim == 1:
-        imgs = imgs.reshape(-1, 1)
     if imgs.shape[0] != c.target.size:
         raise DimMismatch(f"need {c.target.size} images, got {imgs.shape[0]}")
-    reps, assign = group_atoms(imgs, COALESCE_TOL)
-    weights = np.zeros(len(reps))
-    plan = np.zeros((c.source.size, len(reps)))
-    for j, g in enumerate(assign):
-        weights[g] += c.target.weights[j]
-        plan[:, g] += c.plan[:, j]
-    target = DiscreteMeasure(imgs[reps], weights)
+    target, assign = merge_atoms(imgs, c.target.weights)
+    plan = np.zeros((c.source.size, target.size))
+    np.add.at(plan.T, assign, c.plan.T)
     return Coupling(c.source, target, plan)
 
 
@@ -339,7 +333,7 @@ def _transport_simplex(
         adj[ei].add(m + ej)
         adj[m + ej].add(ei)
     else:
-        raise ProbFramesError("transportation simplex failed to terminate")
+        raise InternalInvariantError("transportation simplex failed to terminate")
 
     # final flows recomputed from the marginals, so the plan is exact
     flows = _tree_flows(m, n, adj, a, b)
@@ -357,7 +351,7 @@ def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
     infeas = max(0.0, float(-reduced.min()))
     slack = float(np.abs(plan * reduced).sum())
     if infeas > CERTIFICATE_TOL * scale or slack > CERTIFICATE_TOL * scale:
-        raise ProbFramesError(
+        raise InternalInvariantError(
             f"optimality certificate failed (infeasibility {infeas:.3e}, "
             f"slackness {slack:.3e})"
         )
@@ -412,16 +406,8 @@ def glue(c12: Coupling, c23: Coupling) -> Coupling:
     measures must agree atom by atom. The result is the standard gluing,
     which disintegrates c23 along the middle marginal.
     """
-    mid_a, mid_b = c12.target, c23.source
-    if mid_a.size != mid_b.size or mid_a.dim != mid_b.dim:
-        raise MarginalMismatch("middle marginals have different supports")
-    atom_err = float(np.linalg.norm(mid_a.atoms - mid_b.atoms, axis=1).max())
-    weight_err = float(np.abs(mid_a.weights - mid_b.weights).max())
-    if atom_err > MARGINAL_TOL or weight_err > MARGINAL_TOL:
-        raise MarginalMismatch(
-            f"middle marginals disagree (atoms {atom_err:.3e}, "
-            f"weights {weight_err:.3e})"
-        )
+    if not same_measure(c12.target, c23.source, MARGINAL_TOL):
+        raise MarginalMismatch("middle marginals of the two couplings differ")
     rows = c23.plan.sum(axis=1)
     if float(rows.min()) <= 0.0:
         raise MarginalMismatch("middle marginal carries a zero-mass atom")
@@ -455,6 +441,8 @@ def optimize_mixed_operator(
     within tol of the polytope optimum, or after iters iterations. The
     residual sequence is nonincreasing.
     """
+    if iters < 1:
+        raise ValueError(f"the search needs at least one iteration, got {iters}")
     t_mat = as_matrix(target)
     x, y = mu.atoms, nu.atoms
     if t_mat.shape != (mu.dim, nu.dim):
@@ -498,8 +486,6 @@ def optimize_mixed_operator(
 
 
 def coupling_to_dict(c: Coupling) -> dict:
-    from .measures import measure_to_dict
-
     return {
         "source": measure_to_dict(c.source),
         "target": measure_to_dict(c.target),
@@ -508,8 +494,8 @@ def coupling_to_dict(c: Coupling) -> dict:
 
 
 def coupling_from_dict(d: dict) -> Coupling:
-    from .measures import measure_from_dict
-
+    if not isinstance(d, dict):
+        raise MarginalMismatch("coupling document is not a JSON object")
     for key in ("source", "target", "plan"):
         if key not in d:
             raise MarginalMismatch(f"coupling document lacks '{key}'")

@@ -95,10 +95,16 @@ def test_text_output_mode():
     assert "is_parseval: true" in r.stdout
 
 
-def test_validation_errors_exit_2():
+def test_validation_errors_exit_2(tmp_path):
     assert run_cli("analyze", "no_such_fixture").returncode == 2
     assert run_cli("rescue", "permuted_axes_coupling").returncode == 2
     assert run_cli("certify", "axes_2d", "axes_2d", "axes_2d").returncode == 2
+    for name, text in (("number.json", "5"), ("string.json", '"atoms"')):
+        (tmp_path / name).write_text(text)
+        assert run_cli("analyze", str(tmp_path / name)).returncode == 2
+    assert run_cli("analyze", str(tmp_path)).returncode == 2
+    assert run_cli("certify", "axes_2d", "axes_2d", "--iters", "0").returncode == 2
+    assert run_cli("neumann", "permuted_axes_coupling", "--terms", "-1").returncode == 2
 
 
 def test_failed_hypotheses_exit_3():

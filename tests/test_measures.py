@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from probframes.errors import BadWeights, DimMismatch
+from probframes.duals import convex_combination_certificate
+from probframes.errors import (
+    BadWeights,
+    DimMismatch,
+    MarginalMismatch,
+    SourceMismatch,
+)
+from probframes.frames import canonical_dual
 from probframes.measures import (
     DiscreteMeasure,
     dirac,
@@ -9,9 +16,12 @@ from probframes.measures import (
     measure_from_dict,
     measure_to_dict,
     mixture,
+    same_measure,
     uniform,
     validate,
 )
+from probframes.perturbation import perturbed_frame_bound
+from probframes.transport import glue, product_coupling
 
 
 def test_point_list_promotes_to_column():
@@ -131,3 +141,36 @@ def test_is_close_ignores_atom_order():
     assert a.is_close(b)
     c = DiscreteMeasure([[0.0], [1.0]], [0.4, 0.6])
     assert not a.is_close(c)
+
+
+def test_same_measure_boundary_in_2d():
+    """Tolerance 1e-10 bounds the Euclidean distance of each atom pair.
+
+    A shift of (0.8e-10, 0.8e-10) moves every atom by 1.13e-10 although
+    no entry moves by more than 1e-10; (0.5e-10, 0.5e-10) moves it by
+    0.71e-10. Every caller applies the same rule.
+    """
+    mu = DiscreteMeasure([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.2, 0.3, 0.5])
+    _, canonical = canonical_dual(mu)
+    for step, same in ((0.8e-10, False), (0.5e-10, True)):
+        moved = DiscreteMeasure(mu.atoms + step, mu.weights)
+        assert same_measure(mu, moved, 1e-10) is same
+        callers = (
+            (MarginalMismatch, lambda: glue(
+                product_coupling(mu, mu), product_coupling(moved, mu)
+            )),
+            (MarginalMismatch, lambda: perturbed_frame_bound(
+                mu, mu, product_coupling(mu, moved)
+            )),
+            (SourceMismatch, lambda: convex_combination_certificate(
+                canonical, canonical_dual(moved)[1], 0.5
+            )),
+        )
+        for error, call in callers:
+            if same:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+    heavier = DiscreteMeasure(mu.atoms, [0.2 + 2e-10, 0.3 - 2e-10, 0.5])
+    assert not same_measure(mu, heavier, 1e-10)

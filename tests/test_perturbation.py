@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from probframes import perturbation
 from probframes.duals import certify
 from probframes.errors import (
     EtaNotFrame,
+    InternalInvariantError,
     MarginalMismatch,
     NotExactDual,
     TooFewSamples,
@@ -232,3 +235,44 @@ def test_report_dict_shape():
     }
     assert doc["certificate"] is None
     assert doc["flags"]["quadratic_closeness"] is True
+
+
+def inflate_certificates(monkeypatch):
+    """Make every certificate the perturbation module computes report
+    deviation 2 while keeping its classification."""
+
+    def inflated(c, tol=1e-9):
+        return dataclasses.replace(certify(c, tol), deviation=2.0)
+
+    monkeypatch.setattr(perturbation, "certify", inflated)
+
+
+def test_violated_frame_bound_is_internal_error(monkeypatch):
+    mu = load_measure("axes_2d")  # lower bound 1/2
+    eta = uniform([[0.5, 0.0], [0.0, 0.5]])  # lower bound 1/8
+    # cost 0 promises eta the lower bound of mu, which eta does not have
+    monkeypatch.setattr(perturbation, "transport_cost", lambda c: 0.0)
+    with pytest.raises(InternalInvariantError, match="bound violated"):
+        perturbed_frame_bound(mu, eta)
+
+
+def test_violated_glue_bound_is_internal_error(monkeypatch):
+    mu = load_measure("axes_2d")
+    _, dual_coupling = canonical_dual(mu)
+    inflate_certificates(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="guaranteed bound"):
+        perturbed_approx_dual(mu, dual_coupling, mu, solve_w2(mu, mu).plan)
+
+
+def test_violated_variant_bound_is_internal_error(monkeypatch):
+    mu = load_measure("axes_2d")
+    _, dual_coupling = canonical_dual(mu)
+    inflate_certificates(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="satisfied hypothesis"):
+        variant_certificates(mu, dual_coupling, mu, solve_w2(mu, mu).plan)
+
+
+def test_violated_pipeline_bound_is_internal_error(monkeypatch):
+    inflate_certificates(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="satisfied hypotheses"):
+        discrete_dual_pipeline(load_measure("axes_2d"), 2)

@@ -1,7 +1,15 @@
+import builtins
+
 import numpy as np
 import pytest
 
-from probframes.errors import MarginalMismatch, Unsupported
+from probframes import cli, transport
+from probframes.errors import (
+    InternalInvariantError,
+    MarginalMismatch,
+    ProbFramesError,
+    Unsupported,
+)
 from probframes.fixtures import load_coupling, load_measure, near_dirac_family
 from probframes.measures import DiscreteMeasure, dirac, uniform
 from probframes.transport import (
@@ -73,11 +81,27 @@ def test_product_and_graph_couplings():
     assert abs(transport_cost(g) - 1.0) < 1e-15
 
 
+# images a, b, a, c, b: non-adjacent duplicates merging into a, b, c
+A, B, C = [5.0, -1.0], [0.25, 2.0], [0.0, 0.0]
+SCATTERED_IMAGES = np.array([A, B, A, C, B])
+FIVE_WEIGHTS = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
+
+
 def test_graph_coupling_merges_images():
     mu = uniform([[0.0], [1.0]])
     g = graph_coupling(mu, np.zeros((2, 1)))
     assert g.target.size == 1
     assert g.plan.shape == (2, 1)
+
+    w = FIVE_WEIGHTS
+    mu = DiscreteMeasure(np.arange(10.0).reshape(5, 2), w)
+    g = graph_coupling(mu, SCATTERED_IMAGES)
+    # first-occurrence order, masses summed in atom order
+    assert g.target.atoms.tolist() == [A, B, C]
+    assert g.target.weights.tolist() == [w[0] + w[2], w[1] + w[4], w[3]]
+    expected = np.zeros((5, 3))
+    expected[[0, 1, 2, 3, 4], [0, 1, 0, 2, 1]] = w
+    assert np.array_equal(g.plan, expected)
 
 
 def test_push_target_merges_columns():
@@ -86,6 +110,18 @@ def test_push_target_merges_columns():
     pushed = push_target(product_coupling(mu, nu), np.zeros((2, 1)))
     assert pushed.target.size == 1
     assert np.abs(pushed.plan - 0.5).max() < 1e-15
+
+    w = FIVE_WEIGHTS
+    c = product_coupling(
+        DiscreteMeasure([[1.0], [-1.0]], [0.3, 0.7]),
+        DiscreteMeasure(np.arange(10.0).reshape(5, 2), w),
+    )
+    pushed = push_target(c, SCATTERED_IMAGES)
+    assert pushed.target.atoms.tolist() == [A, B, C]
+    assert pushed.target.weights.tolist() == [w[0] + w[2], w[1] + w[4], w[3]]
+    p = c.plan
+    expected = np.column_stack([p[:, 0] + p[:, 2], p[:, 1] + p[:, 4], p[:, 3]])
+    assert np.array_equal(pushed.plan, expected)
 
 
 def test_mixed_operator_product_value():
@@ -130,6 +166,33 @@ def test_bruteforce_guards():
     skew = DiscreteMeasure([[0.0], [1.0]], [0.3, 0.7])
     with pytest.raises(Unsupported):
         w2_bruteforce(skew, skew)
+
+
+def test_failed_certificate_is_internal_error(monkeypatch, capsys):
+    assert not issubclass(InternalInvariantError, (ProbFramesError, ValueError))
+    solve = transport._transport_simplex
+
+    def shifted_potentials(*args, **kwargs):
+        plan, u, v, basis = solve(*args, **kwargs)
+        return plan, u + 1.0, v, basis
+
+    monkeypatch.setattr(transport, "_transport_simplex", shifted_potentials)
+    mu = load_measure("axes_2d")
+    with pytest.raises(InternalInvariantError, match="certificate failed"):
+        solve_w2(mu, mu)
+    assert cli.main(["w2", "axes_2d", "axes_2d"]) == 1
+    assert "internal error: InternalInvariantError" in capsys.readouterr().err
+
+
+def test_simplex_out_of_pivots_is_internal_error(monkeypatch):
+    # the pivot budget is at least 1000; a zero-length pivot loop exhausts it
+    def no_pivots(*args):
+        return builtins.range(0) if args[0] >= 1000 else builtins.range(*args)
+
+    monkeypatch.setattr(transport, "range", no_pivots, raising=False)
+    mu = load_measure("axes_2d")
+    with pytest.raises(InternalInvariantError, match="failed to terminate"):
+        solve_w2(mu, mu)
 
 
 def test_w2_is_a_metric():
