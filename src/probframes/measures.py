@@ -78,8 +78,10 @@ class DiscreteMeasure:
         representative, so the result is deterministic. tol=0 merges
         exact duplicates only.
         """
-        merged, _ = merge_atoms(self.atoms, self.weights, tol)
-        return self if merged.size == self.size else merged
+        reps, assign = group_atoms(self.atoms, tol)
+        if len(reps) == self.size:
+            return self
+        return merge_atoms(self.atoms, self.weights, reps, assign)
 
     def pushforward_linear(self, a) -> "DiscreteMeasure":
         """Image measure under x -> A x; colliding images are merged."""
@@ -145,17 +147,16 @@ def group_atoms(atoms: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
 
 
 def merge_atoms(
-    atoms, weights, tol: float = COALESCE_TOL
-) -> tuple[DiscreteMeasure, np.ndarray]:
-    """Merge atoms grouped by group_atoms, summing weights in atom order.
+    atoms: np.ndarray, weights, reps: list[int], assign: np.ndarray
+) -> DiscreteMeasure:
+    """Merge the atom groups found by group_atoms into one measure.
 
-    Returns the merged measure and the group index of every input atom.
+    Each group sits at its representative and carries the summed weight
+    of its atoms, added in atom order.
     """
-    points = _as_atoms(atoms)
-    reps, assign = group_atoms(points, tol)
     merged = np.zeros(len(reps))
     np.add.at(merged, assign, weights)
-    return DiscreteMeasure(points[reps], merged), assign
+    return DiscreteMeasure(atoms[reps], merged)
 
 
 def same_measure(a: DiscreteMeasure, b: DiscreteMeasure, tol: float) -> bool:

@@ -28,14 +28,8 @@ from .errors import (
 from .frames import analyze, canonical_dual
 from .measures import DiscreteMeasure, same_measure, uniform
 from .numerics import eig_sym, inverse
-from .transport import (
-    Coupling,
-    _transport_simplex,
-    glue,
-    graph_coupling,
-    solve_w2,
-    transport_cost,
-)
+from . import transport as _transport
+from .transport import Coupling, glue, graph_coupling, solve_w2, transport_cost
 
 MATCH_TOL = 1e-10
 
@@ -301,7 +295,7 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     best = sorted(chosen)
 
     def exact_cost(indices, start=None):
-        plan, _, _, tree = _transport_simplex(
+        plan, _, _, tree = _transport._transport_simplex(
             eta.weights, sub_weights, sq[:, indices], start=start
         )
         return float((plan * sq[:, indices]).sum()), tree

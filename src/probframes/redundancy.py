@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Singular
-from .frames import _inverse_frame_operator
+from .errors import NotAFrame, Singular
+from .frames import analyze
 from .measures import DiscreteMeasure, COALESCE_TOL
 from .numerics import inverse, numeric_rank
 
@@ -54,7 +54,10 @@ def redundancy_trace(m: DiscreteMeasure) -> float:
     an invertible frame operator.
     """
     merged = m.coalesce(COALESCE_TOL)
-    s_inv = _inverse_frame_operator(merged)
+    report = analyze(merged)
+    if not report.is_frame:
+        raise NotAFrame("redundancy_trace needs a frame operator that inverts")
+    s_inv = inverse(report.frame_operator)
     diag = np.einsum("ij,jk,ik->i", merged.atoms, s_inv, merged.atoms)
     return float(np.sum(1.0 - merged.weights * diag))
 

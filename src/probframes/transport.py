@@ -21,7 +21,9 @@ from scipy.spatial.distance import cdist
 
 from .errors import DimMismatch, InternalInvariantError, MarginalMismatch, Unsupported
 from .measures import (
+    COALESCE_TOL,
     DiscreteMeasure,
+    group_atoms,
     measure_from_dict,
     measure_to_dict,
     merge_atoms,
@@ -89,9 +91,12 @@ def graph_coupling(mu: DiscreteMeasure, images) -> Coupling:
     single target atom whose plan column collects the incoming mass.
     """
     imgs = np.asarray(images, dtype=float)
+    if imgs.ndim == 1:
+        imgs = imgs.reshape(-1, 1)
     if imgs.shape[0] != mu.size:
         raise DimMismatch(f"need {mu.size} images, got {imgs.shape[0]}")
-    target, assign = merge_atoms(imgs, mu.weights)
+    reps, assign = group_atoms(imgs, COALESCE_TOL)
+    target = merge_atoms(imgs, mu.weights, reps, assign)
     plan = np.zeros((mu.size, target.size))
     plan[np.arange(mu.size), assign] = mu.weights
     return Coupling(mu, target, plan)
@@ -105,9 +110,12 @@ def push_target(c: Coupling, images) -> Coupling:
     merged and their plan columns summed.
     """
     imgs = np.asarray(images, dtype=float)
+    if imgs.ndim == 1:
+        imgs = imgs.reshape(-1, 1)
     if imgs.shape[0] != c.target.size:
         raise DimMismatch(f"need {c.target.size} images, got {imgs.shape[0]}")
-    target, assign = merge_atoms(imgs, c.target.weights)
+    reps, assign = group_atoms(imgs, COALESCE_TOL)
+    target = merge_atoms(imgs, c.target.weights, reps, assign)
     plan = np.zeros((c.source.size, target.size))
     np.add.at(plan.T, assign, c.plan.T)
     return Coupling(c.source, target, plan)
@@ -215,6 +223,11 @@ def _tree_duals(
     return u, v
 
 
+def _pivot_budget(m: int, n: int) -> int:
+    """Pivots allowed before the simplex is declared non-terminating."""
+    return 1000 + 100 * (m + n) * max(m, n)
+
+
 def _transport_simplex(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
@@ -261,8 +274,7 @@ def _transport_simplex(
     reduced = np.empty_like(cost)
     stall_limit = 30 + (m + n) // 2
     stalled = 0
-    max_pivots = 1000 + 100 * (m + n) * max(m, n)
-    for _ in range(max_pivots):
+    for _ in range(_pivot_budget(m, n)):
         np.subtract(cost, u[:, None], out=reduced)
         reduced -= v[None, :]
         if stalled <= stall_limit:
