@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -218,18 +219,7 @@ def _cmd_uncertainty(args):
 
 def _cmd_bounds_ineq(args):
     (name,) = _inputs(args)
-    b = bound_inequalities(_coupling(name))
-    return {
-        "source_lower": b.source_lower,
-        "source_upper": b.source_upper,
-        "target_lower": b.target_lower,
-        "target_upper": b.target_upper,
-        "inverse_norm": b.inverse_norm,
-        "source_slack": b.source_slack,
-        "target_slack": b.target_slack,
-        "source_equality": b.source_equality,
-        "target_equality": b.target_equality,
-    }, True
+    return asdict(bound_inequalities(_coupling(name))), True
 
 
 def _cmd_perturb(args):

@@ -213,10 +213,10 @@ class BoundInequalities:
     target_lower: float
     target_upper: float
     inverse_norm: float
-    target_slack: float
     source_slack: float
-    target_equality: bool
+    target_slack: float
     source_equality: bool
+    target_equality: bool
 
 
 def bound_inequalities(c: Coupling, tol: float = 1e-8) -> BoundInequalities:
@@ -241,10 +241,10 @@ def bound_inequalities(c: Coupling, tol: float = 1e-8) -> BoundInequalities:
         target_lower=target_report.lower_bound,
         target_upper=target_report.upper_bound,
         inverse_norm=inv_norm,
-        target_slack=target_slack,
         source_slack=source_slack,
-        target_equality=abs(target_slack) <= tol,
+        target_slack=target_slack,
         source_equality=abs(source_slack) <= tol,
+        target_equality=abs(target_slack) <= tol,
     )
 
 

@@ -9,7 +9,7 @@ together with its graph coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,12 +110,4 @@ def reproducing_check(m: DiscreteMeasure, u, z) -> float:
 
 
 def frame_report_to_dict(r: FrameReport) -> dict:
-    return {
-        "frame_operator": [[float(v) for v in row] for row in r.frame_operator],
-        "lower_bound": r.lower_bound,
-        "upper_bound": r.upper_bound,
-        "is_frame": r.is_frame,
-        "is_tight": r.is_tight,
-        "is_parseval": r.is_parseval,
-        "second_moment": r.second_moment,
-    }
+    return {**asdict(r), "frame_operator": r.frame_operator.tolist()}

@@ -128,21 +128,17 @@ class DiscreteMeasure:
 def group_atoms(atoms: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
     """Greedy duplicate grouping: first occurrence is the representative.
 
-    Returns (representative indices, group index per atom). Quadratic in
-    the atom count, which is fine at the supported scale.
+    Returns (representative indices, group index per atom). Each
+    ungrouped atom opens a group and claims, in one vectorized pass,
+    every later ungrouped atom within Euclidean distance tol.
     """
     reps: list[int] = []
-    assign = np.empty(atoms.shape[0], dtype=int)
+    assign = np.full(atoms.shape[0], -1)
     for i in range(atoms.shape[0]):
-        hit = -1
-        for g, r in enumerate(reps):
-            if np.linalg.norm(atoms[i] - atoms[r]) <= tol:
-                hit = g
-                break
-        if hit < 0:
+        if assign[i] < 0:
+            near = np.linalg.norm(atoms[i:] - atoms[i], axis=1) <= tol
+            assign[i:][near & (assign[i:] < 0)] = len(reps)
             reps.append(i)
-            hit = len(reps) - 1
-        assign[i] = hit
     return reps, assign
 
 

@@ -11,7 +11,7 @@ manufactures an approximate dual for a measure from a modest subsample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -295,7 +295,7 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     best = sorted(chosen)
 
     def exact_cost(indices, start=None):
-        plan, _, _, tree = _transport._transport_simplex(
+        plan, tree = _transport._transport_simplex(
             eta.weights, sub_weights, sq[:, indices], start=start
         )
         return float((plan * sq[:, indices]).sum()), tree
@@ -424,12 +424,7 @@ def report_to_dict(r: PerturbationReport) -> dict:
     return {
         "lambda": r.quadratic_cost,
         "lower_bound_estimate": r.lower_bound_estimate,
-        "flags": {
-            "quadratic_closeness": r.flags.quadratic_closeness,
-            "product_bound": r.flags.product_bound,
-            "moment_bound": r.flags.moment_bound,
-            "inverse_closeness": r.flags.inverse_closeness,
-        },
+        "flags": asdict(r.flags),
         "certificate": (
             certificate_to_dict(r.certificate) if r.certificate else None
         ),

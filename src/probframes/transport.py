@@ -169,8 +169,8 @@ def _tree_flows(
     """Unique arc flows on a spanning tree supporting the marginals.
 
     Computed by leaf elimination directly from a and b, so the returned
-    flows carry no pivot roundoff. Row nodes are 0..m-1, column nodes
-    m..m+n-1.
+    flows carry no pivot roundoff; sub-roundoff negatives are zeroed.
+    Row nodes are 0..m-1, column nodes m..m+n-1.
     """
     net = np.concatenate([a, -b])
     neighbors = {k: set(v) for k, v in adj.items()}
@@ -188,14 +188,13 @@ def _tree_flows(
         neighbors[u].clear()
         if len(neighbors[w]) == 1:
             leaves.append(w)
-    return flows
-
-
-def _clamp_dust(flows: dict[tuple[int, int], float]):
-    """Zero out the sub-roundoff negatives a degenerate basis produces."""
+    if len(flows) != m + n - 1 or min(flows.values()) < -1e-9:
+        raise InternalInvariantError(
+            "tree is not spanning with nonnegative flows for these marginals"
+        )
     for arc, f in flows.items():
-        if f < 0.0:
-            flows[arc] = 0.0
+        flows[arc] = max(f, 0.0)
+    return flows
 
 
 def _tree_duals(
@@ -230,16 +229,17 @@ def _pivot_budget(m: int, n: int) -> int:
 
 def _transport_simplex(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Minimize <cost, plan> over the transportation polytope.
 
-    Returns (plan, u, v, basis) with u, v the dual potentials and basis
-    the optimal spanning tree, reusable as the start of a neighboring
-    solve (any spanning tree is feasible for any cost matrix with the
-    same marginals). Pricing is most-negative reduced cost, falling back
-    to Bland's rule (first negative cell in row-major order) whenever a
-    run of degenerate pivots suggests stalling; Bland's rule cannot
-    cycle, so the fallback guarantees termination. Potentials are
+    Returns (plan, tree), the plan certified optimal by _certify and
+    tree its optimal spanning tree. A tree optimal for one cost matrix is
+    a feasible start for any cost matrix with the same marginals; a start
+    that does not span or needs negative flows raises
+    InternalInvariantError. Pricing is most-negative reduced cost,
+    falling back to Bland's rule (first negative cell in row-major order)
+    whenever a run of degenerate pivots suggests stalling; Bland's rule
+    cannot cycle, so the fallback guarantees termination. Potentials are
     updated incrementally on the subtree cut off by the leaving arc. The
     leaving arc is the minimum-ratio cell with lexicographic tie-break,
     and the final flows are recomputed from the marginals on the optimal
@@ -247,29 +247,12 @@ def _transport_simplex(
     """
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
-    basis = set(start) if start is not None else set(_northwest_tree(a, b))
     adj: dict[int, set[int]] = {k: set() for k in range(m + n)}
-    for (i, j) in basis:
+    for (i, j) in start if start is not None else _northwest_tree(a, b):
         adj[i].add(m + j)
         adj[m + j].add(i)
     flows = _tree_flows(m, n, adj, a, b)
     u, v = _tree_duals(m, n, adj, cost)
-    if start is not None and (
-        len(basis) != m + n - 1
-        or len(flows) != m + n - 1
-        or min(flows.values()) < -1e-9
-        or not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)))
-    ):
-        # the provided tree does not span or is infeasible here; fall
-        # back to a fresh start
-        basis = set(_northwest_tree(a, b))
-        adj = {k: set() for k in range(m + n)}
-        for (i, j) in basis:
-            adj[i].add(m + j)
-            adj[m + j].add(i)
-        flows = _tree_flows(m, n, adj, a, b)
-        u, v = _tree_duals(m, n, adj, cost)
-    _clamp_dust(flows)
 
     reduced = np.empty_like(cost)
     stall_limit = 30 + (m + n) // 2
@@ -321,8 +304,6 @@ def _transport_simplex(
             flows[arc] -= theta
         flows[(ei, ej)] = theta
         del flows[leaving]
-        basis.remove(leaving)
-        basis.add((ei, ej))
         adj[leaving[0]].discard(m + leaving[1])
         adj[m + leaving[1]].discard(leaving[0])
 
@@ -349,11 +330,11 @@ def _transport_simplex(
 
     # final flows recomputed from the marginals, so the plan is exact
     flows = _tree_flows(m, n, adj, a, b)
-    _clamp_dust(flows)
     plan = np.zeros((m, n))
     for (i, j), f in flows.items():
         plan[i, j] = f
-    return plan, u, v, sorted(basis)
+    _certify(plan, u, v, cost)
+    return plan, sorted(flows)
 
 
 def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
@@ -372,8 +353,7 @@ def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
 def solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact Wasserstein-2 distance and an optimal plan."""
     d = _sq_dists(mu, nu)
-    plan, u, v, _ = _transport_simplex(mu.weights, nu.weights, d)
-    _certify(plan, u, v, d)
+    plan, _ = _transport_simplex(mu.weights, nu.weights, d)
     cost = float((plan * d).sum())
     return TransportResult(
         cost=cost, w2=math.sqrt(max(cost, 0.0)), plan=Coupling(mu, nu, plan)
@@ -466,14 +446,12 @@ def optimize_mixed_operator(
     residuals: list[float] = []
     gap = math.inf
     iterations = 0
-    basis = None
+    tree = None
     for iterations in range(1, iters + 1):
         r = mixed - t_mat
         residuals.append(float(np.linalg.norm(r)))
         grad = 2.0 * x @ r @ y.T
-        vertex, _, _, basis = _transport_simplex(
-            mu.weights, nu.weights, grad, start=basis
-        )
+        vertex, tree = _transport_simplex(mu.weights, nu.weights, grad, start=tree)
         gap = float((grad * (plan - vertex)).sum())
         if gap <= tol:
             break
