@@ -34,7 +34,7 @@ from .duals import (
 from .errors import ProbFramesError
 from .frames import analyze, canonical_dual, frame_report_to_dict
 from .jsonio import dumps, render_text
-from .measures import DiscreteMeasure, measure_from_dict, measure_to_dict
+from .measures import DiscreteMeasure, _as_floats, measure_from_dict, measure_to_dict
 from .perturbation import (
     discrete_dual_pipeline,
     matched_mixed_dual,
@@ -79,7 +79,7 @@ def _matrix(name: str) -> np.ndarray:
     doc = _resolve(name)
     if isinstance(doc, dict):
         doc = doc.get("entries", doc.get("atoms"))
-    return np.asarray(doc, dtype=float)
+    return _as_floats(doc, ValueError)
 
 
 def _inputs(args) -> list[str]:

@@ -20,8 +20,16 @@ WEIGHT_TOL = 1e-12
 COALESCE_TOL = 1e-12
 
 
+def _as_floats(value, error) -> np.ndarray:
+    """value as a float array; error(text) when it is not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise error(str(err)) from None
+
+
 def _as_atoms(atoms) -> np.ndarray:
-    a = np.asarray(atoms, dtype=float)
+    a = _as_floats(atoms, DimMismatch)
     if a.ndim == 1:
         # a flat list is read as N points on the real line
         a = a.reshape(-1, 1)
@@ -215,10 +223,15 @@ def measure_from_dict(d: dict) -> DiscreteMeasure:
     if "atoms" not in d:
         raise DimMismatch("measure document lacks 'atoms'")
     atoms = _as_atoms(d["atoms"])
-    if "dim" in d and int(d["dim"]) != atoms.shape[1]:
-        raise DimMismatch(
-            f"declared dim {d['dim']} but atoms have dimension {atoms.shape[1]}"
-        )
+    if "dim" in d:
+        try:
+            dim = int(d["dim"])
+        except (TypeError, ValueError) as err:
+            raise DimMismatch(str(err)) from None
+        if dim != atoms.shape[1]:
+            raise DimMismatch(
+                f"declared dim {d['dim']} but atoms have dimension {atoms.shape[1]}"
+            )
     if d.get("weights") is None:
         return uniform(atoms)
-    return DiscreteMeasure(atoms, np.asarray(d["weights"], dtype=float))
+    return DiscreteMeasure(atoms, _as_floats(d["weights"], BadWeights))

@@ -23,6 +23,7 @@ from .errors import DimMismatch, InternalInvariantError, MarginalMismatch, Unsup
 from .measures import (
     COALESCE_TOL,
     DiscreteMeasure,
+    _as_floats,
     group_atoms,
     measure_from_dict,
     measure_to_dict,
@@ -492,5 +493,5 @@ def coupling_from_dict(d: dict) -> Coupling:
     return Coupling(
         measure_from_dict(d["source"]),
         measure_from_dict(d["target"]),
-        np.asarray(d["plan"], dtype=float),
+        _as_floats(d["plan"], MarginalMismatch),
     )

@@ -105,6 +105,27 @@ def test_validation_errors_exit_2(tmp_path):
     assert run_cli("analyze", str(tmp_path)).returncode == 2
     assert run_cli("certify", "axes_2d", "axes_2d", "--iters", "0").returncode == 2
     assert run_cli("neumann", "permuted_axes_coupling", "--terms", "-1").returncode == 2
+    # fields of the wrong type are bad input too, not internal errors
+    axes = {"atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5]}
+    for name, doc in (
+        ("dim_null.json", {"dim": None, **axes}),
+        ("atoms_object.json", {**axes, "atoms": {"x": 1.0}}),
+        ("weights_object.json", {**axes, "weights": {"w": 1.0}}),
+    ):
+        (tmp_path / name).write_text(json.dumps(doc))
+        r = run_cli("analyze", str(tmp_path / name))
+        assert r.returncode == 2, r.stderr
+    plan = tmp_path / "plan_object.json"
+    plan.write_text(json.dumps({"source": axes, "target": axes, "plan": {"p": 1.0}}))
+    assert run_cli("coupling-check", str(plan)).returncode == 2
+    operator = tmp_path / "operator.json"
+    operator.write_text(json.dumps({"atoms": {"x": 1.0}}))
+    r = run_cli("approx-dual", "axes_2d", "--operator", str(operator))
+    assert r.returncode == 2, r.stderr
+    # string weights were accepted before and still are
+    strings = tmp_path / "string_weights.json"
+    strings.write_text(json.dumps({**axes, "weights": ["0.5", "0.5"]}))
+    assert run_cli("analyze", str(strings)).returncode == 0
 
 
 def test_failed_hypotheses_exit_3():

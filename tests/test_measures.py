@@ -71,6 +71,47 @@ def test_group_atoms_tolerance():
     assert list(assign) == [0, 0, 1]
 
 
+def nested_loop_groups(atoms, tol):
+    """Reference: each atom joins the first representative within tol."""
+    reps, assign = [], np.empty(atoms.shape[0], dtype=int)
+    for i in range(atoms.shape[0]):
+        hit = -1
+        for g, r in enumerate(reps):
+            if np.linalg.norm(atoms[i] - atoms[r]) <= tol:
+                hit = g
+                break
+        if hit < 0:
+            reps.append(i)
+            hit = len(reps) - 1
+        assign[i] = hit
+    return reps, assign
+
+
+def test_group_atoms_matches_nested_loop():
+    rng = np.random.default_rng(2718)
+    for case in range(400):
+        n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        tol = (0.0, 1e-12, 1e-3, 0.5)[case % 4]
+        family = case // 4 % 4
+        if family == 0:  # lattice: many exact ties and distances of 1
+            atoms = rng.integers(0, 3, (n, dim)).astype(float)
+        elif family == 1:  # duplicates scattered through the list
+            k = max(1, n // 3)
+            atoms = rng.standard_normal((k, dim))[rng.integers(0, k, n)]
+        elif family == 2:  # offsets at, just inside and just outside tol
+            k = max(1, n // 4)
+            base = rng.standard_normal((k, dim))[rng.integers(0, k, n)]
+            step = tol * rng.choice([1.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.5, 2.0], n)
+            atoms = base + step[:, None] * np.eye(dim)[rng.integers(0, dim, n)]
+        else:  # chains whose links are under tol while their ends are not
+            atoms = np.cumsum(np.full((n, dim), 0.6 * tol / np.sqrt(dim)), axis=0)
+            atoms = atoms[rng.permutation(n)]
+        reps, assign = group_atoms(atoms, tol)
+        want_reps, want_assign = nested_loop_groups(atoms, tol)
+        assert reps == want_reps
+        assert np.array_equal(assign, want_assign)
+
+
 def test_pushforward_linear():
     m = uniform([[1.0, 0.0], [0.0, 1.0]])
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])

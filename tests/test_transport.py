@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from probframes import cli, transport
 from probframes.errors import (
@@ -10,6 +13,7 @@ from probframes.errors import (
 )
 from probframes.fixtures import load_coupling, load_measure, near_dirac_family
 from probframes.measures import DiscreteMeasure, dirac, uniform
+from probframes.perturbation import greedy_subsample
 from probframes.transport import (
     Coupling,
     coupling_from_dict,
@@ -166,19 +170,48 @@ def test_bruteforce_guards():
         w2_bruteforce(skew, skew)
 
 
-def test_failed_certificate_is_internal_error(monkeypatch, capsys):
-    assert not issubclass(InternalInvariantError, (ProbFramesError, ValueError))
+@pytest.fixture
+def failing_certificate(monkeypatch):
+    """Every simplex answer is checked against potentials shifted by one."""
     check = transport._certify
 
     def shifted_potentials(plan, u, v, cost):
         check(plan, u + 1.0, v, cost)
 
     monkeypatch.setattr(transport, "_certify", shifted_potentials)
+
+
+def test_failed_certificate_is_internal_error(failing_certificate, capsys):
+    assert not issubclass(InternalInvariantError, (ProbFramesError, ValueError))
     mu = load_measure("axes_2d")
     with pytest.raises(InternalInvariantError, match="certificate failed"):
         solve_w2(mu, mu)
     assert cli.main(["w2", "axes_2d", "axes_2d"]) == 1
     assert "internal error: InternalInvariantError" in capsys.readouterr().err
+
+
+def test_failed_certificate_stops_oracle_and_swap_solves(failing_certificate):
+    mu = load_measure("axes_2d")
+    with pytest.raises(InternalInvariantError, match="certificate failed"):
+        optimize_mixed_operator(mu, mu, np.eye(2), iters=5)
+    eta = random_measure(np.random.default_rng(8), 2, 10)
+    with pytest.raises(InternalInvariantError, match="certificate failed"):
+        greedy_subsample(eta, 4)
+
+
+def test_simplex_rejects_start_trees_that_do_not_fit():
+    a, b = np.array([0.2, 0.8]), np.array([0.7, 0.3])
+    cost = np.array([[0.0, 1.0], [2.0, 0.5]])
+    plan, tree = transport._transport_simplex(a, b, cost)
+    again, same = transport._transport_simplex(a, b, cost + 1.0, start=tree)
+    assert np.array_equal(again, plan) and same == tree
+    # two arcs do not span; four arcs close a cycle
+    for start in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        with pytest.raises(InternalInvariantError, match="not spanning"):
+            transport._transport_simplex(a, b, cost, start=start)
+    # spans, but row 0 would have to ship 0.3 of its 0.2 to column 1
+    with pytest.raises(InternalInvariantError, match="nonnegative flows"):
+        transport._transport_simplex(a, b, cost, start=[(0, 0), (0, 1), (1, 0)])
 
 
 def test_simplex_out_of_pivots_is_internal_error(monkeypatch):
@@ -279,3 +312,53 @@ def test_coupling_dict_round_trip():
     assert np.array_equal(back.plan, c.plan)
     assert np.array_equal(back.source.atoms, c.source.atoms)
     assert np.array_equal(back.target.weights, c.target.weights)
+
+
+@st.composite
+def transport_problems(draw):
+    """Degenerate W2 problems: ties, duplicates, tiny weights, wide scales."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-4, 4))
+
+    def measure(size):
+        family = draw(st.sampled_from(["gauss", "lattice", "duplicates"]))
+        if family == "gauss":
+            atoms = rng.standard_normal((size, dim))
+        elif family == "lattice":
+            atoms = rng.integers(0, 3, (size, dim)).astype(float)
+        else:
+            k = max(1, size // 2)
+            atoms = rng.standard_normal((k, dim))[rng.integers(0, k, size)]
+        if draw(st.booleans()):
+            w = rng.uniform(0.0, 1.0, size) ** 3 + 1e-12
+        else:
+            w = np.ones(size)
+        return DiscreteMeasure(scale * atoms, w / w.sum())
+
+    return measure(m), measure(n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transport_problems())
+def test_w2_matches_highs_lp(problem):
+    mu, nu = problem
+    cost = transport._sq_dists(mu, nu)
+    m, n = cost.shape
+    rows = np.kron(np.eye(m), np.ones(n))
+    cols = np.kron(np.ones(m), np.eye(n))
+    lp = linprog(
+        cost.ravel(),
+        A_eq=np.vstack([rows, cols]),
+        b_eq=np.concatenate([mu.weights, nu.weights]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert lp.status == 0
+    result = solve_w2(mu, nu)
+    assert abs(result.cost - lp.fun) <= 1e-7 * max(1.0, float(cost.max()))
+    plan = result.plan.plan
+    assert plan.min() >= 0.0
+    assert np.abs(plan.sum(axis=1) - mu.weights).max() <= 1e-10
+    assert np.abs(plan.sum(axis=0) - nu.weights).max() <= 1e-10
