@@ -31,7 +31,7 @@ from .duals import (
     rescue_exact_dual,
     uncertainty_product,
 )
-from .errors import ProbFramesError
+from .errors import ProbFramesError, WrongInputCount
 from .frames import analyze, canonical_dual, frame_report_to_dict
 from .jsonio import dumps, render_text
 from .measures import DiscreteMeasure, _as_floats, measure_from_dict, measure_to_dict
@@ -82,8 +82,16 @@ def _matrix(name: str) -> np.ndarray:
     return _as_floats(doc, ValueError)
 
 
-def _inputs(args) -> list[str]:
-    return list(args.inputs) + list(args.fixture or [])
+def _inputs(args, *counts: int) -> list[str]:
+    """The positional and --fixture inputs, which must number one of counts."""
+    names = list(args.inputs) + list(args.fixture or [])
+    if len(names) not in counts:
+        takes = " or ".join(map(str, counts))
+        plural = "" if counts == (1,) else "s"
+        raise WrongInputCount(
+            f"{args.command} takes {takes} input{plural}, got {len(names)}"
+        )
+    return names
 
 
 def _dual_doc(dual: DiscreteMeasure, coupling: Coupling, args) -> dict:
@@ -106,12 +114,12 @@ def _measure_summary(m: DiscreteMeasure) -> dict:
 
 
 def _cmd_analyze(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     return _measure_summary(_measure(name)), True
 
 
 def _cmd_w2(args):
-    a, b = _inputs(args)
+    a, b = _inputs(args, 2)
     result = solve_w2(_measure(a), _measure(b))
     return {
         "cost": result.cost,
@@ -121,7 +129,7 @@ def _cmd_w2(args):
 
 
 def _cmd_coupling_check(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     c = _coupling(name)
     row_err = float(np.abs(c.plan.sum(axis=1) - c.source.weights).max())
     col_err = float(np.abs(c.plan.sum(axis=0) - c.target.weights).max())
@@ -137,11 +145,11 @@ def _cmd_coupling_check(args):
 
 
 def _cmd_certify(args):
-    names = _inputs(args)
+    names = _inputs(args, 1, 2)
     if len(names) == 1:
         cert = certify(_coupling(names[0]), tol=args.tol)
         doc = certificate_to_dict(cert)
-    elif len(names) == 2:
+    else:
         mu, nu = _measure(names[0]), _measure(names[1])
         search = optimize_mixed_operator(
             mu, nu, np.eye(mu.dim), iters=args.iters
@@ -153,26 +161,24 @@ def _cmd_certify(args):
             "gap": search.gap,
             "iterations": search.iterations,
         }
-    else:
-        raise ProbFramesError("certify takes one coupling or two measures")
     doc["source_redundancy"] = redundancy_rank(cert.coupling.source)
     doc["target_redundancy"] = redundancy_rank(cert.coupling.target)
     return doc, True
 
 
 def _cmd_canonical_dual(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     return _dual_doc(*canonical_dual(_measure(name)), args), True
 
 
 def _cmd_approx_dual(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     dual_pair = approx_dual_pushforward(_measure(name), _matrix(args.operator))
     return _dual_doc(*dual_pair, args), True
 
 
 def _cmd_neumann(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     if args.terms < 0:
         raise ValueError(f"--terms must be at least 0, got {args.terms}")
     c = _coupling(name)
@@ -195,12 +201,12 @@ def _cmd_neumann(args):
 
 
 def _cmd_rescue(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     return _dual_doc(*rescue_exact_dual(_coupling(name)), args), True
 
 
 def _cmd_pushforward(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     m = _measure(name)
     offsets = (
         _matrix(args.offsets)
@@ -211,19 +217,19 @@ def _cmd_pushforward(args):
 
 
 def _cmd_uncertainty(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     f = np.asarray([float(x) for x in args.vector.split(",")])
     lhs, rhs = uncertainty_product(_coupling(name), f)
     return {"lhs": lhs, "rhs": rhs, "satisfied": bool(lhs >= rhs - 1e-9)}, True
 
 
 def _cmd_bounds_ineq(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     return asdict(bound_inequalities(_coupling(name))), True
 
 
 def _cmd_perturb(args):
-    base_name, eta_name = _inputs(args)
+    base_name, eta_name = _inputs(args, 2)
     mu, eta = _measure(base_name), _measure(eta_name)
     c = _coupling(args.coupling) if args.coupling else None
     if args.mode == "bound":
@@ -243,7 +249,7 @@ def _cmd_perturb(args):
 
 
 def _cmd_sample_dual(args):
-    (name,) = _inputs(args)
+    (name,) = _inputs(args, 1)
     mu_hat, nu_hat, report = discrete_dual_pipeline(
         _measure(name), args.samples, seed=args.seed, a_n=args.a_n
     )

@@ -72,6 +72,10 @@ class TooFewSamples(ProbFramesError):
     """Requested subsample is too small to span the ambient space."""
 
 
+class WrongInputCount(ProbFramesError):
+    """A command got more or fewer input documents than it takes."""
+
+
 class InternalInvariantError(Exception):
     """A check the package runs on its own result failed: a bug, not bad input.
 

@@ -275,10 +275,19 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
 
     Farthest-point seeding (started from the heaviest atom) followed by
     first-improvement swap passes, each swap accepted only when it
-    lowers the exact W2 distance to eta. Candidates for a swap are the
-    few nearest unchosen atoms; candidates whose unconstrained
-    quantization energy already exceeds the incumbent W2 are pruned,
-    since dropping the uniform-capacity constraint only lowers the cost.
+    lowers the exact squared W2 distance to eta by more than a relative
+    1e-12, so that a swap of equal cost is refused whatever the last
+    bits of the two solves. Candidates for a swap are the few nearest unchosen
+    atoms; candidates whose unconstrained quantization energy already
+    exceeds the incumbent W2 are pruned, since dropping the
+    uniform-capacity constraint only lowers the cost.
+
+    Each trial solve is warm-started from the incumbent's optimal tree
+    relabelled onto the trial's sorted columns: an arc to atom k moves
+    to k's position in the trial, and the swapped-out atom's arcs move
+    to the candidate's. All subsample columns weigh 1/n, so the tree
+    keeps its flows and stays feasible, and only the candidate's column
+    has new costs.
     """
     atoms = eta.atoms
     total = eta.size
@@ -295,7 +304,7 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     best = sorted(chosen)
 
     def exact_cost(indices, start=None):
-        plan, tree = _transport._transport_simplex(
+        plan, tree, _ = _transport._transport_simplex(
             eta.weights, sub_weights, sq[:, indices], start=start
         )
         return float((plan * sq[:, indices]).sum()), tree
@@ -317,10 +326,11 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                 floor = float(eta.weights @ sq[:, trial].min(axis=1))
                 if floor >= best_cost:
                     continue
-                # a swap keeps the marginals, so the incumbent's optimal
-                # tree warm-starts the trial solve
-                cost, tree = exact_cost(trial, start=best_tree)
-                if cost < best_cost - 1e-15:
+                column = {atom: k for k, atom in enumerate(trial)}
+                column[out] = column[int(cand)]
+                start = [(i, column[best[j]]) for i, j in best_tree]
+                cost, tree = exact_cost(trial, start=start)
+                if cost < best_cost * (1.0 - 1e-12):
                     best, best_cost, best_tree = trial, cost, tree
                     improved = True
                     break

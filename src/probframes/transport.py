@@ -165,29 +165,41 @@ def _northwest_tree(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _tree_flows(
-    m: int, n: int, adj: dict[int, set[int]], a: np.ndarray, b: np.ndarray
+    m: int, n: int, arcs, a: np.ndarray, b: np.ndarray
 ) -> dict[tuple[int, int], float]:
     """Unique arc flows on a spanning tree supporting the marginals.
 
     Computed by leaf elimination directly from a and b, so the returned
     flows carry no pivot roundoff; sub-roundoff negatives are zeroed.
-    Row nodes are 0..m-1, column nodes m..m+n-1.
+    Row nodes are 0..m-1, column nodes m..m+n-1. Each node keeps only
+    its degree and the XOR of its neighbours, so a leaf's one remaining
+    neighbour is that XOR; leaves are eliminated from the same stack in
+    the same order as with explicit neighbour sets, and the flows are
+    summed in that order. An arc listed twice closes a cycle that is
+    never eliminated, so it is rejected as not spanning.
     """
-    net = np.concatenate([a, -b])
-    neighbors = {k: set(v) for k, v in adj.items()}
-    leaves = [k for k in range(m + n) if len(neighbors[k]) == 1]
+    net = np.concatenate([a, -b]).tolist()
+    degree = [0] * (m + n)
+    others = [0] * (m + n)
+    for i, j in arcs:
+        degree[i] += 1
+        degree[m + j] += 1
+        others[i] ^= m + j
+        others[m + j] ^= i
+    leaves = [k for k in range(m + n) if degree[k] == 1]
     flows: dict[tuple[int, int], float] = {}
     while leaves:
         u = leaves.pop()
-        if not neighbors[u]:
+        if not degree[u]:
             continue
-        w = next(iter(neighbors[u]))
+        w = others[u]
         arc = (u, w - m) if u < m else (w, u - m)
         flows[arc] = net[u] if u < m else -net[u]
         net[w] += net[u]
-        neighbors[w].discard(u)
-        neighbors[u].clear()
-        if len(neighbors[w]) == 1:
+        degree[u] = 0
+        degree[w] -= 1
+        others[w] ^= u
+        if degree[w] == 1:
             leaves.append(w)
     if len(flows) != m + n - 1 or min(flows.values()) < -1e-9:
         raise InternalInvariantError(
@@ -228,37 +240,49 @@ def _pivot_budget(m: int, n: int) -> int:
     return 1000 + 100 * (m + n) * max(m, n)
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """What one simplex solve did: pivots made, how many of them moved
+    no flow, and how many were priced by Bland's rule."""
+
+    pivots: int
+    degenerate_pivots: int
+    bland_pivots: int
+
+
 def _transport_simplex(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
+) -> tuple[np.ndarray, list[tuple[int, int]], SolveStats]:
     """Minimize <cost, plan> over the transportation polytope.
 
-    Returns (plan, tree), the plan certified optimal by _certify and
-    tree its optimal spanning tree. A tree optimal for one cost matrix is
-    a feasible start for any cost matrix with the same marginals; a start
-    that does not span or needs negative flows raises
-    InternalInvariantError. Pricing is most-negative reduced cost,
-    falling back to Bland's rule (first negative cell in row-major order)
-    whenever a run of degenerate pivots suggests stalling; Bland's rule
-    cannot cycle, so the fallback guarantees termination. Potentials are
-    updated incrementally on the subtree cut off by the leaving arc. The
-    leaving arc is the minimum-ratio cell with lexicographic tie-break,
-    and the final flows are recomputed from the marginals on the optimal
-    tree.
+    Returns (plan, tree, stats): the plan certified optimal by _certify,
+    tree its optimal spanning tree and stats the pivot counts. A tree
+    optimal for one cost matrix is a feasible start for any cost matrix
+    with the same marginals; a start that does not span (a repeated arc
+    included) or needs negative flows raises InternalInvariantError.
+    Pricing is most-negative reduced cost, falling back to Bland's rule
+    (first negative cell in row-major order) whenever a run of
+    degenerate pivots suggests stalling; Bland's rule cannot cycle, so
+    the fallback guarantees termination. Potentials are updated
+    incrementally on the subtree cut off by the leaving arc. The leaving
+    arc is the minimum-ratio cell with lexicographic tie-break, and the
+    final flows are recomputed from the marginals on the optimal tree.
     """
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
+    tree = _northwest_tree(a, b) if start is None else start
+    flows = _tree_flows(m, n, tree, a, b)
     adj: dict[int, set[int]] = {k: set() for k in range(m + n)}
-    for (i, j) in start if start is not None else _northwest_tree(a, b):
+    for (i, j) in tree:
         adj[i].add(m + j)
         adj[m + j].add(i)
-    flows = _tree_flows(m, n, adj, a, b)
     u, v = _tree_duals(m, n, adj, cost)
 
     reduced = np.empty_like(cost)
     stall_limit = 30 + (m + n) // 2
     stalled = 0
-    for _ in range(_pivot_budget(m, n)):
+    degenerate = bland = 0
+    for pivots in range(_pivot_budget(m, n)):
         np.subtract(cost, u[:, None], out=reduced)
         reduced -= v[None, :]
         if stalled <= stall_limit:
@@ -270,6 +294,7 @@ def _transport_simplex(
             if candidates.size == 0:
                 break
             flat = int(candidates[0])
+            bland += 1
         ei, ej = divmod(flat, n)
         delta = float(reduced[ei, ej])
 
@@ -297,7 +322,11 @@ def _transport_simplex(
             (minus if k % 2 == 0 else plus).append(arc)
         theta = min(flows[arc] for arc in minus)
         leaving = min(arc for arc in minus if flows[arc] <= theta)
-        stalled = stalled + 1 if theta <= 0.0 else 0
+        if theta <= 0.0:
+            stalled += 1
+            degenerate += 1
+        else:
+            stalled = 0
 
         for arc in plus:
             flows[arc] += theta
@@ -330,12 +359,12 @@ def _transport_simplex(
         raise InternalInvariantError("transportation simplex failed to terminate")
 
     # final flows recomputed from the marginals, so the plan is exact
-    flows = _tree_flows(m, n, adj, a, b)
+    flows = _tree_flows(m, n, flows, a, b)
     plan = np.zeros((m, n))
     for (i, j), f in flows.items():
         plan[i, j] = f
     _certify(plan, u, v, cost)
-    return plan, sorted(flows)
+    return plan, sorted(flows), SolveStats(pivots, degenerate, bland)
 
 
 def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
@@ -354,7 +383,7 @@ def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
 def solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact Wasserstein-2 distance and an optimal plan."""
     d = _sq_dists(mu, nu)
-    plan, _ = _transport_simplex(mu.weights, nu.weights, d)
+    plan, _, _ = _transport_simplex(mu.weights, nu.weights, d)
     cost = float((plan * d).sum())
     return TransportResult(
         cost=cost, w2=math.sqrt(max(cost, 0.0)), plan=Coupling(mu, nu, plan)
@@ -452,7 +481,9 @@ def optimize_mixed_operator(
         r = mixed - t_mat
         residuals.append(float(np.linalg.norm(r)))
         grad = 2.0 * x @ r @ y.T
-        vertex, tree = _transport_simplex(mu.weights, nu.weights, grad, start=tree)
+        vertex, tree, _ = _transport_simplex(
+            mu.weights, nu.weights, grad, start=tree
+        )
         gap = float((grad * (plan - vertex)).sum())
         if gap <= tol:
             break

@@ -99,6 +99,13 @@ def test_validation_errors_exit_2(tmp_path):
     assert run_cli("analyze", "no_such_fixture").returncode == 2
     assert run_cli("rescue", "permuted_axes_coupling").returncode == 2
     assert run_cli("certify", "axes_2d", "axes_2d", "axes_2d").returncode == 2
+    # a missing input is named, not reported by a failed tuple unpacking
+    for argv, message in (
+        (["analyze"], "error: analyze takes 1 input, got 0"),
+        (["w2", "axes_2d"], "error: w2 takes 2 inputs, got 1"),
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and r.stderr.strip() == message, r.stderr
     for name, text in (("number.json", "5"), ("string.json", '"atoms"')):
         (tmp_path / name).write_text(text)
         assert run_cli("analyze", str(tmp_path / name)).returncode == 2

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from probframes import perturbation
+from probframes import perturbation, transport
 from probframes.duals import certify
 from probframes.errors import (
     EtaNotFrame,
@@ -174,6 +174,47 @@ def test_greedy_subsample_properties():
     w5 = solve_w2(eta, greedy_subsample(eta, 5)).w2
     w10 = solve_w2(eta, sub).w2
     assert w10 <= w5 + 1e-12
+
+
+def swap_search_inputs():
+    """(eta, n) pairs where swaps of equal W2 are common: 6x6 lattices
+    at scales 1e-2 to 1e2, some with 7 duplicated atoms and some with
+    non-uniform weights, next to random 2-D and 3-D clouds."""
+
+    def weights(rng, size, skew):
+        w = rng.uniform(0.5, 1.5, size) if skew else np.ones(size)
+        return w / w.sum()
+
+    grid = np.array([(x, y) for x in range(6) for y in range(6)], dtype=float)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        atoms = 10.0 ** (seed % 5 - 2) * grid
+        if seed % 2:
+            atoms = np.vstack([atoms, atoms[rng.choice(36, 7, replace=False)]])
+        eta = DiscreteMeasure(atoms, weights(rng, len(atoms), seed % 4 >= 2))
+        yield eta, int(rng.integers(4, 10))
+    clouds = [(100 + s, 2) for s in range(40)] + [(200 + s, 3) for s in range(10)]
+    for seed, dim in clouds:
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(15, 40))
+        atoms = rng.standard_normal((size, dim)) * 10.0 ** rng.uniform(-2, 2)
+        eta = DiscreteMeasure(atoms, weights(rng, size, seed % 2))
+        yield eta, int(rng.integers(dim, 10))
+
+
+def test_greedy_subsample_does_not_depend_on_the_warm_start(monkeypatch):
+    # the swap decisions rest on W2 values, not on which optimal tree a
+    # solve ends on, so cold solves choose the same subsample
+    inputs = list(swap_search_inputs())
+    warm = [greedy_subsample(eta, n).atoms for eta, n in inputs]
+    solve = transport._transport_simplex
+
+    def cold(a, b, cost, start=None):
+        return solve(a, b, cost)
+
+    monkeypatch.setattr(transport, "_transport_simplex", cold)
+    for (eta, n), chosen in zip(inputs, warm):
+        assert np.array_equal(greedy_subsample(eta, n).atoms, chosen)
 
 
 def test_pipeline_on_cloud():

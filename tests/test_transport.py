@@ -202,16 +202,148 @@ def test_failed_certificate_stops_oracle_and_swap_solves(failing_certificate):
 def test_simplex_rejects_start_trees_that_do_not_fit():
     a, b = np.array([0.2, 0.8]), np.array([0.7, 0.3])
     cost = np.array([[0.0, 1.0], [2.0, 0.5]])
-    plan, tree = transport._transport_simplex(a, b, cost)
-    again, same = transport._transport_simplex(a, b, cost + 1.0, start=tree)
+    plan, tree, _ = transport._transport_simplex(a, b, cost)
+    again, same, _ = transport._transport_simplex(a, b, cost + 1.0, start=tree)
     assert np.array_equal(again, plan) and same == tree
-    # two arcs do not span; four arcs close a cycle
-    for start in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (1, 0), (1, 1)]):
+    # two arcs do not span; four arcs close a cycle; a spanning tree
+    # with one arc listed twice is no tree either
+    for start in (
+        [(0, 0), (1, 1)],
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+        [(0, 0), (1, 0), (1, 1), (1, 0)],
+    ):
         with pytest.raises(InternalInvariantError, match="not spanning"):
             transport._transport_simplex(a, b, cost, start=start)
     # spans, but row 0 would have to ship 0.3 of its 0.2 to column 1
     with pytest.raises(InternalInvariantError, match="nonnegative flows"):
         transport._transport_simplex(a, b, cost, start=[(0, 0), (0, 1), (1, 0)])
+
+
+def neighbour_set_flows(m, n, adj, a, b):
+    """Leaf elimination on explicit neighbour sets, as the solver did
+    before it kept degree counts: the reference for bit-identical flows."""
+    net = np.concatenate([a, -b])
+    neighbors = {k: set(v) for k, v in adj.items()}
+    leaves = [k for k in range(m + n) if len(neighbors[k]) == 1]
+    flows = {}
+    while leaves:
+        u = leaves.pop()
+        if not neighbors[u]:
+            continue
+        w = next(iter(neighbors[u]))
+        arc = (u, w - m) if u < m else (w, u - m)
+        flows[arc] = net[u] if u < m else -net[u]
+        net[w] += net[u]
+        neighbors[w].discard(u)
+        neighbors[u].clear()
+        if len(neighbors[w]) == 1:
+            leaves.append(w)
+    if len(flows) != m + n - 1 or min(flows.values()) < -1e-9:
+        raise InternalInvariantError("not spanning")
+    return {arc: max(f, 0.0) for arc, f in flows.items()}
+
+
+def random_spanning_tree(rng, m, n):
+    """Uniformly shuffled attachment: each new node joins a random
+    already-joined node of the other side."""
+    order = rng.permutation(m + n)
+    first_row = next(k for k in order if k < m)
+    first_col = next(k for k in order if k >= m)
+    arcs = [(first_row, first_col - m)]
+    joined = {first_row, first_col}
+    for k in order:
+        if k in joined:
+            continue
+        side = [w for w in joined if (w >= m) == (k < m)]
+        w = side[int(rng.integers(len(side)))]
+        arcs.append((k, w - m) if k < m else (w, k - m))
+        joined.add(k)
+    return arcs
+
+
+def test_tree_flows_match_neighbour_sets():
+    rng = np.random.default_rng(2718)
+    checked = raised = 0
+    for case in range(400):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        if case % 4 == 0:
+            # equal denominators: degenerate northwest-corner trees
+            a = rng.integers(1, 4, m).astype(float)
+            b = rng.integers(1, 4, n).astype(float)
+            a, b = a / a.sum(), b / b.sum()
+        else:
+            a, b = rng.uniform(0.0, 1.0, m) ** 3 + 1e-12, rng.uniform(0.1, 1.0, n)
+            a, b = a / a.sum(), b / b.sum()
+        if case % 2 == 0:
+            arcs = transport._northwest_tree(a, b)
+        else:
+            arcs = random_spanning_tree(rng, m, n)
+        adj = {k: set() for k in range(m + n)}
+        for i, j in arcs:
+            adj[i].add(m + j)
+            adj[m + j].add(i)
+        try:
+            want = neighbour_set_flows(m, n, adj, a, b)
+        except InternalInvariantError:
+            with pytest.raises(InternalInvariantError):
+                transport._tree_flows(m, n, arcs, a, b)
+            raised += 1
+            continue
+        got = transport._tree_flows(m, n, arcs, a, b)
+        assert got == want
+        checked += 1
+    # optimal trees of degenerate (uniform, tied) problems
+    for size in range(1, 9):
+        a = np.full(size, 1.0 / size)
+        b = np.full(size + 1, 1.0 / (size + 1))
+        cost = rng.integers(0, 3, (size, size + 1)).astype(float)
+        _, tree, _ = transport._transport_simplex(a, b, cost)
+        adj = {k: set() for k in range(2 * size + 1)}
+        for i, j in tree:
+            adj[i].add(size + j)
+            adj[size + j].add(i)
+        want = neighbour_set_flows(size, size + 1, adj, a, b)
+        assert transport._tree_flows(size, size + 1, tree, a, b) == want
+    assert checked > 200 and raised > 20
+
+
+def test_solve_stats_repeat():
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        mu = random_measure(rng, 2, int(rng.integers(2, 12)))
+        nu = random_measure(rng, 2, int(rng.integers(2, 12)))
+        cost = transport._sq_dists(mu, nu)
+        first = transport._transport_simplex(mu.weights, nu.weights, cost)
+        again = transport._transport_simplex(mu.weights, nu.weights, cost)
+        assert first[2] == again[2]
+        assert 0 <= first[2].degenerate_pivots <= first[2].pivots
+        assert 0 <= first[2].bland_pivots <= first[2].pivots
+        warm = transport._transport_simplex(
+            mu.weights, nu.weights, cost[::-1, ::-1].copy(), start=first[1]
+        )
+        assert warm[2] == transport._transport_simplex(
+            mu.weights, nu.weights, cost[::-1, ::-1].copy(), start=first[1]
+        )[2]
+    # an optimal start needs no pivot
+    _, tree, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
+    restart = transport._transport_simplex(mu.weights, nu.weights, cost, start=tree)
+    assert restart[2] == transport.SolveStats(0, 0, 0)
+
+
+def test_greedy_swap_solves_start_near_optimal(monkeypatch):
+    warm_pivots = []
+    solve = transport._transport_simplex
+
+    def counting(a, b, cost, start=None):
+        plan, tree, stats = solve(a, b, cost, start=start)
+        if start is not None:
+            warm_pivots.append(stats.pivots)
+        return plan, tree, stats
+
+    monkeypatch.setattr(transport, "_transport_simplex", counting)
+    greedy_subsample(load_measure("shifted_gauss_100"), 12)
+    assert len(warm_pivots) > 50
+    assert sum(warm_pivots) / len(warm_pivots) <= 8.0
 
 
 def test_simplex_out_of_pivots_is_internal_error(monkeypatch):

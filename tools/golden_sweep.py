@@ -83,7 +83,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     rng = np.random.default_rng(2024)
     files: dict[str, object] = {}
     groups: dict[str, list[str]] = {
-        "measure": [], "coupling": [], "matrix": [], "bad": []
+        "measure": [], "coupling": [], "matrix": [], "bad": [], "subsample": []
     }
 
     def put(kind: str, name: str, doc):
@@ -110,6 +110,14 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         _measure_doc(axes + np.array([[0.01, -0.02], [0.015, 0.005]]), [0.5, 0.5]))
     put("measure", "string_weights",
         {"atoms": [[0.5], [1.5]], "weights": ["0.5", "0.5"]})
+
+    # a larger 3-D cloud for the greedy swap search only: a fifth of its
+    # 60 atoms repeat others exactly (own generator, so the inputs above
+    # do not move)
+    dup_rng = np.random.default_rng(60)
+    cloud3 = dup_rng.standard_normal((60, 3))
+    cloud3[48:] = cloud3[dup_rng.choice(48, 12, replace=False)]
+    put("subsample", "dup_cloud_3d", _measure_doc(cloud3, _weights(dup_rng, 60)))
 
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
@@ -215,6 +223,10 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["certify", "axes_2d", gen("axes_2d_near"), "--iters", "500"],
         ["certify", gen("cloud_2d"), gen("small_2d"), "--iters", "300"],
         ["sample-dual", "shifted_gauss_100", "--samples", "12", "--a-n", "0.3"],
+        ["sample-dual", "shifted_gauss_100", "--samples", "16"],
+        ["sample-dual", "shifted_gauss_100", "--samples", "20"],
+        ["sample-dual", "shifted_gauss_100", "--samples", "30"],
+        ["sample-dual", gen("dup_cloud_3d"), "--samples", "12"],
         ["sample-dual", gen("cloud_2d"), "--samples", "5", "--seed", "4"],
         ["pushforward", gen("cloud_2d"), "--offsets", gen("offsets_cloud")],
         ["pushforward", "axes_2d", "--offsets", gen("offsets_cloud")],
