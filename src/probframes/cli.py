@@ -31,7 +31,7 @@ from .duals import (
     rescue_exact_dual,
     uncertainty_product,
 )
-from .errors import ProbFramesError, WrongInputCount
+from .errors import BadArgument, ProbFramesError, WrongInputCount
 from .frames import analyze, canonical_dual, frame_report_to_dict
 from .jsonio import dumps, render_text
 from .measures import DiscreteMeasure, _as_floats, measure_from_dict, measure_to_dict
@@ -46,6 +46,7 @@ from .perturbation import (
 from .redundancy import redundancy_rank, redundancy_trace
 from .transport import (
     Coupling,
+    _marginal_errors,
     coupling_from_dict,
     coupling_to_dict,
     mixed_frame_operator,
@@ -57,7 +58,10 @@ from .transport import (
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:  # not JSON, or not text at all
+            raise BadArgument(str(err)) from None
 
 
 def _resolve(name: str) -> object:
@@ -79,7 +83,7 @@ def _matrix(name: str) -> np.ndarray:
     doc = _resolve(name)
     if isinstance(doc, dict):
         doc = doc.get("entries", doc.get("atoms"))
-    return _as_floats(doc, ValueError)
+    return _as_floats(doc, BadArgument)
 
 
 def _inputs(args, *counts: int) -> list[str]:
@@ -131,8 +135,7 @@ def _cmd_w2(args):
 def _cmd_coupling_check(args):
     (name,) = _inputs(args, 1)
     c = _coupling(name)
-    row_err = float(np.abs(c.plan.sum(axis=1) - c.source.weights).max())
-    col_err = float(np.abs(c.plan.sum(axis=0) - c.target.weights).max())
+    row_err, col_err = _marginal_errors(c.plan, c.source, c.target)
     doc = {
         "valid": True,
         "row_error": row_err,
@@ -180,7 +183,7 @@ def _cmd_approx_dual(args):
 def _cmd_neumann(args):
     (name,) = _inputs(args, 1)
     if args.terms < 0:
-        raise ValueError(f"--terms must be at least 0, got {args.terms}")
+        raise BadArgument(f"--terms must be at least 0, got {args.terms}")
     c = _coupling(name)
     sequence = []
     dual = corrected = None
@@ -218,7 +221,7 @@ def _cmd_pushforward(args):
 
 def _cmd_uncertainty(args):
     (name,) = _inputs(args, 1)
-    f = np.asarray([float(x) for x in args.vector.split(",")])
+    f = _as_floats(args.vector.split(","), BadArgument)
     lhs, rhs = uncertainty_product(_coupling(name), f)
     return {"lhs": lhs, "rhs": rhs, "satisfied": bool(lhs >= rhs - 1e-9)}, True
 
@@ -327,16 +330,14 @@ def main(argv=None) -> int:
     handler, _ = COMMANDS[args.command]
     try:
         doc, hypotheses_ok = handler(args)
-    except (ProbFramesError, OSError, ValueError) as err:
+        text = dumps(doc) if args.output == "json" else render_text(doc)
+    except (ProbFramesError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # anything else is a bug, not bad input
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    if args.output == "json":
-        print(dumps(doc))
-    else:
-        print(render_text(doc))
+    print(text)
     return 0 if hypotheses_ok else 3
 
 

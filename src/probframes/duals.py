@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadArgument,
     BadWeights,
     DeviationTooLarge,
     DimMismatch,
@@ -155,7 +156,7 @@ def neumann_approx_dual(
     bounded by the returned error_bound ||Id - A||^{N+1}.
     """
     if n_terms < 0:
-        raise ValueError("the partial sum needs at least the k=0 term")
+        raise BadArgument("the partial sum needs at least the k=0 term")
     cert = certify(c)
     if not cert.deviation < 1.0:
         raise NotApproximate(

@@ -76,6 +76,10 @@ class WrongInputCount(ProbFramesError):
     """A command got more or fewer input documents than it takes."""
 
 
+class BadArgument(ProbFramesError, ValueError):
+    """An argument is malformed: not a finite matrix, out of range, not JSON."""
+
+
 class InternalInvariantError(Exception):
     """A check the package runs on its own result failed: a bug, not bad input.
 

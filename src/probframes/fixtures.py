@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import BadArgument
 from .measures import DiscreteMeasure, measure_from_dict, uniform
 from .transport import Coupling, coupling_from_dict
 
@@ -59,7 +60,7 @@ def near_dirac_family(k: int) -> DiscreteMeasure:
     redundancy 0.
     """
     if k < 1:
-        raise ValueError("the family starts at k = 1")
+        raise BadArgument("the family starts at k = 1")
     return uniform([[1.0], [1.0 - 1.0 / (k + 1)]])
 
 

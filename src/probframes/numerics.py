@@ -1,20 +1,18 @@
-"""Dense symmetric linear algebra with explicit failure modes.
+"""Dense linear algebra with explicit failure modes, on numpy alone.
 
-Thin wrappers around LAPACK (via numpy/scipy) that pin down the
-tolerances the rest of the package relies on: symmetry is checked before
-any eigendecomposition, and inversion refuses matrices whose LU pivots
-fall below a relative threshold instead of returning garbage.
+Thin wrappers around LAPACK (via numpy) that pin down the tolerances the
+rest of the package relies on: symmetry is checked before any
+eigendecomposition, and inversion refuses matrices whose LU pivots fall
+below a relative threshold instead of returning garbage.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NonSymmetric, Singular
+from .errors import BadArgument, DimMismatch, NonSymmetric, Singular
 
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
@@ -25,16 +23,16 @@ def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d float array, rejecting non-finite entries."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of shape {a.shape}")
+        raise BadArgument(f"expected a matrix, got array of shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise BadArgument("matrix has non-finite entries")
     return a
 
 
 def as_square(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise BadArgument(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -91,16 +89,17 @@ def inverse(m, pivot_tol: float = PIVOT_RTOL) -> np.ndarray:
     scale = float(np.abs(a).max())
     if scale == 0.0:
         raise Singular("zero matrix is not invertible")
-    with warnings.catch_warnings():
-        # exact singularity is reported through the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < pivot_tol * scale:
-        raise Singular(
-            f"pivot {pivots.min():.3e} below threshold {pivot_tol * scale:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
+    u = a.copy()  # U's diagonal holds the pivots; numpy does not expose its LU
+    for k in range(n):
+        p = k + int(np.abs(u[k:, k]).argmax())
+        u[[k, p]] = u[[p, k]]
+        if abs(u[k, k]) < pivot_tol * scale:
+            raise Singular(
+                f"pivot {abs(u[k, k]):.3e} below threshold {pivot_tol * scale:.3e}"
+            )
+        u[k + 1:, k:] -= np.outer(u[k + 1:, k] / u[k, k], u[k, k:])
+    # Fortran order: redundancy_trace's einsum rounds a C-ordered inverse differently
+    return np.asfortranarray(np.linalg.solve(a, np.eye(n)))
 
 
 def spectral_norm(m) -> float:
@@ -116,9 +115,19 @@ def numeric_rank(m, tol: float | None = None) -> int:
     a = as_matrix(m)
     if a.size == 0:
         return 0
-    s = scipy.linalg.svdvals(a)
+    s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0:
         return 0
     if tol is None:
         tol = RANK_RTOL * s[0]
     return int(np.count_nonzero(s > tol))
+
+
+def sq_dists(x, y) -> np.ndarray:
+    """Squared distances between the rows of x and y, one coordinate at a time."""
+    if x.shape[1] != y.shape[1]:
+        raise DimMismatch(f"measures live in dimensions {x.shape[1]} and {y.shape[1]}")
+    out = np.zeros((x.shape[0], y.shape[0]))
+    for k in range(x.shape[1]):
+        out += (x[:, k, None] - y[None, :, k]) ** 2
+    return out

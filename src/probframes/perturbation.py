@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .duals import DualCertificate, _require_inverse, certificate_to_dict, certify
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .frames import analyze, canonical_dual
 from .measures import DiscreteMeasure, same_measure, uniform
-from .numerics import eig_sym, inverse
+from .numerics import eig_sym, inverse, sq_dists
 from . import transport as _transport
 from .transport import Coupling, glue, graph_coupling, solve_w2, transport_cost
 
@@ -202,9 +201,7 @@ def variant_certificates(
     moment_ok = None
     if base_cert.classification == "exact":
         moment_ok = nu.second_moment() * c_direction < 1.0
-    displaced = float(
-        (c.plan * cdist(eta.atoms, mu.atoms @ a_inv.T, "sqeuclidean")).sum()
-    )
+    displaced = float((c.plan * sq_dists(eta.atoms, mu.atoms @ a_inv.T)).sum())
     c_nu = analyze(nu).upper_bound
     inverse_ok = displaced < 1.0 / c_nu
     glued_cert = certify(glue(c, base))
@@ -293,7 +290,7 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     total = eta.size
     if n >= total:
         return uniform(atoms)
-    sq = cdist(atoms, atoms, "sqeuclidean")
+    sq = sq_dists(atoms, atoms)
     sub_weights = np.full(n, 1.0 / n)
     chosen = [int(np.argmax(eta.weights))]
     min_dist = sq[chosen[0]].copy()

@@ -17,9 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .errors import DimMismatch, InternalInvariantError, MarginalMismatch, Unsupported
+from .errors import (
+    BadArgument,
+    DimMismatch,
+    InternalInvariantError,
+    MarginalMismatch,
+    Unsupported,
+)
 from .measures import (
     COALESCE_TOL,
     DiscreteMeasure,
@@ -30,7 +35,7 @@ from .measures import (
     merge_atoms,
     same_measure,
 )
-from .numerics import as_matrix
+from .numerics import as_matrix, sq_dists
 
 MARGINAL_TOL = 1e-10
 CERTIFICATE_TOL = 1e-9
@@ -60,8 +65,7 @@ class Coupling:
             raise MarginalMismatch("plan has non-finite entries")
         if plan.size and plan.min() < 0.0:
             raise MarginalMismatch(f"plan has negative entry {plan.min():.3e}")
-        row_err = float(np.abs(plan.sum(axis=1) - self.source.weights).max())
-        col_err = float(np.abs(plan.sum(axis=0) - self.target.weights).max())
+        row_err, col_err = _marginal_errors(plan, self.source, self.target)
         if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
             raise MarginalMismatch(
                 f"marginal errors (rows {row_err:.3e}, cols {col_err:.3e}) "
@@ -69,6 +73,12 @@ class Coupling:
             )
         plan.setflags(write=False)
         object.__setattr__(self, "plan", plan)
+
+
+def _marginal_errors(plan, source, target) -> tuple[float, float]:
+    """Largest gaps between the plan's row and column sums and the weights."""
+    rows, cols = plan.sum(axis=1) - source.weights, plan.sum(axis=0) - target.weights
+    return float(np.abs(rows).max()), float(np.abs(cols).max())
 
 
 @dataclass(frozen=True)
@@ -127,17 +137,9 @@ def mixed_frame_operator(c: Coupling) -> np.ndarray:
     return c.source.atoms.T @ c.plan @ c.target.atoms
 
 
-def _sq_dists(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    if mu.dim != nu.dim:
-        raise DimMismatch(
-            f"measures live in dimensions {mu.dim} and {nu.dim}"
-        )
-    return cdist(mu.atoms, nu.atoms, "sqeuclidean")
-
-
 def transport_cost(c: Coupling) -> float:
     """Quadratic cost of a coupling: sum_ij plan_ij |x_i - y_j|^2."""
-    return float((c.plan * _sq_dists(c.source, c.target)).sum())
+    return float((c.plan * sq_dists(c.source.atoms, c.target.atoms)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +384,7 @@ def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
 
 def solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact Wasserstein-2 distance and an optimal plan."""
-    d = _sq_dists(mu, nu)
+    d = sq_dists(mu.atoms, nu.atoms)
     plan, _, _ = _transport_simplex(mu.weights, nu.weights, d)
     cost = float((plan * d).sum())
     return TransportResult(
@@ -403,7 +405,7 @@ def w2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     for w in (mu.weights, nu.weights):
         if float(np.abs(w - 1.0 / n).max()) > 1e-12:
             raise Unsupported("bruteforce needs uniform weights")
-    d = _sq_dists(mu, nu)
+    d = sq_dists(mu.atoms, nu.atoms)
     best_cost = math.inf
     best_perm = None
     rows = np.arange(n)
@@ -464,7 +466,7 @@ def optimize_mixed_operator(
     residual sequence is nonincreasing.
     """
     if iters < 1:
-        raise ValueError(f"the search needs at least one iteration, got {iters}")
+        raise BadArgument(f"the search needs at least one iteration, got {iters}")
     t_mat = as_matrix(target)
     x, y = mu.atoms, nu.atoms
     if t_mat.shape != (mu.dim, nu.dim):

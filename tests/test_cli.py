@@ -159,7 +159,9 @@ def test_sample_dual_runs():
     assert doc["certificate"]["deviation"] < 1.0
 
 
-def test_console_script_entry_point():
+def entry_point_launcher() -> str:
+    """Python code that calls the console script declared in pyproject.toml
+    the way an installed launcher does, so it runs without an install."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
@@ -167,12 +169,15 @@ def test_console_script_entry_point():
     with open(PYPROJECT, "rb") as f:
         target = tomllib.load(f)["project"]["scripts"]["probframes"]
     module, func = target.split(":")
-    # Invoke the declared entry point the way an installed launcher does,
-    # so the test runs whether or not the package is installed.
-    launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
+    return f"import sys; from {module} import {func}; sys.exit({func}())"
+
+
+def test_console_script_entry_point():
     args = ["analyze", "dirac_one"]
     r = subprocess.run(
-        [sys.executable, "-c", launcher, *args], capture_output=True, text=True
+        [sys.executable, "-c", entry_point_launcher(), *args],
+        capture_output=True,
+        text=True,
     )
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["is_parseval"] is True
@@ -182,3 +187,58 @@ def test_console_script_entry_point():
         s = subprocess.run([installed, *args], capture_output=True, text=True)
         assert s.returncode == 0, s.stderr
         assert s.stdout == r.stdout
+
+
+def test_runs_without_scipy():
+    """The runtime needs numpy only: with scipy made unimportable, the
+    entry point prints the same bytes and exits with the same code."""
+    launcher = entry_point_launcher()
+    hidden = "import sys; sys.modules['scipy'] = None; " + launcher
+    for args in (
+        ["analyze", "mean_one_triple"],
+        ["w2", "near_dirac_pair", "dirac_one"],
+        ["certify", "axes_2d", "axes_2d", "--iters", "200"],
+        ["sample-dual", "shifted_gauss_100", "--samples", "12", "--a-n", "0.3"],
+        ["rescue", "permuted_axes_coupling"],  # inverse raises Singular
+    ):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", code, *args], capture_output=True, text=True
+            )
+            for code in (launcher, hidden)
+        ]
+        assert runs[0].stdout == runs[1].stdout, args
+        assert runs[0].returncode == runs[1].returncode, args
+        assert runs[1].returncode == (2 if args[0] == "rescue" else 0), runs[1].stderr
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, probframes.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert loaded.stdout == "[]\n", loaded.stderr
+
+
+def test_bugs_exit_1_even_when_they_raise_value_error(monkeypatch, capsys):
+    from probframes import cli
+
+    def raises(args):
+        raise ValueError("a handler bug")
+
+    def non_finite(args):
+        return {"value": float("nan")}, True
+
+    monkeypatch.setitem(cli.COMMANDS, "analyze", (raises, ""))
+    assert cli.main(["analyze", "axes_2d"]) == 1
+    assert capsys.readouterr().err == "internal error: ValueError: a handler bug\n"
+    monkeypatch.setitem(cli.COMMANDS, "analyze", (non_finite, ""))
+    assert cli.main(["analyze", "axes_2d"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "internal error: ValueError: cannot serialize non-finite value nan\n"
+    )

@@ -13,6 +13,7 @@ from probframes.duals import (
     uncertainty_product,
 )
 from probframes.errors import (
+    BadArgument,
     BadWeights,
     DeviationTooLarge,
     NotApproximate,
@@ -140,7 +141,7 @@ def test_neumann_needs_approximate_input():
         neumann_approx_dual(load_coupling("permuted_axes_coupling"), 3)
     mu = DiscreteMeasure([[1.0]], [1.0])
     _, c = approx_dual_pushforward(mu, [[0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument):
         neumann_approx_dual(c, -1)
 
 

@@ -1,5 +1,9 @@
+import numpy as np
+import pytest
+
 import probframes
-from probframes.fixtures import fixture_path, regenerate_cloud
+from probframes.errors import BadArgument
+from probframes.fixtures import fixture_path, near_dirac_family, regenerate_cloud
 from probframes.jsonio import dumps
 from probframes.measures import measure_to_dict
 
@@ -57,3 +61,13 @@ def test_regenerated_cloud_matches_bundled_file():
     with open(fixture_path("shifted_gauss_100")) as fh:
         bundled = fh.read()
     assert bundled == dumps(measure_to_dict(regenerate_cloud())) + "\n"
+
+
+def test_out_of_range_arguments_raise_bad_argument():
+    mu = probframes.uniform([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(BadArgument, match="at least one iteration"):
+        probframes.optimize_mixed_operator(mu, mu, np.eye(2), iters=0)
+    with pytest.raises(BadArgument, match="k=0 term"):
+        probframes.neumann_approx_dual(probframes.product_coupling(mu, mu), -1)
+    with pytest.raises(BadArgument, match="starts at k = 1"):
+        near_dirac_family(0)

@@ -13,6 +13,7 @@ from probframes.errors import (
 )
 from probframes.fixtures import load_coupling, load_measure, near_dirac_family
 from probframes.measures import DiscreteMeasure, dirac, uniform
+from probframes.numerics import sq_dists
 from probframes.perturbation import greedy_subsample
 from probframes.transport import (
     Coupling,
@@ -312,7 +313,7 @@ def test_solve_stats_repeat():
     for _ in range(10):
         mu = random_measure(rng, 2, int(rng.integers(2, 12)))
         nu = random_measure(rng, 2, int(rng.integers(2, 12)))
-        cost = transport._sq_dists(mu, nu)
+        cost = sq_dists(mu.atoms, nu.atoms)
         first = transport._transport_simplex(mu.weights, nu.weights, cost)
         again = transport._transport_simplex(mu.weights, nu.weights, cost)
         assert first[2] == again[2]
@@ -476,7 +477,7 @@ def transport_problems(draw):
 @given(transport_problems())
 def test_w2_matches_highs_lp(problem):
     mu, nu = problem
-    cost = transport._sq_dists(mu, nu)
+    cost = sq_dists(mu.atoms, nu.atoms)
     m, n = cost.shape
     rows = np.kron(np.eye(m), np.ones(n))
     cols = np.kron(np.ones(m), np.eye(n))

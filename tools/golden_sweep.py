@@ -83,7 +83,8 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     rng = np.random.default_rng(2024)
     files: dict[str, object] = {}
     groups: dict[str, list[str]] = {
-        "measure": [], "coupling": [], "matrix": [], "bad": [], "subsample": []
+        "measure": [], "coupling": [], "matrix": [], "bad": [], "subsample": [],
+        "high_dim": [],
     }
 
     def put(kind: str, name: str, doc):
@@ -118,6 +119,16 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     cloud3 = dup_rng.standard_normal((60, 3))
     cloud3[48:] = cloud3[dup_rng.choice(48, 12, replace=False)]
     put("subsample", "dup_cloud_3d", _measure_doc(cloud3, _weights(dup_rng, 60)))
+
+    # 9-D clouds (own generator, so the inputs above do not move), and two
+    # 9-D points whose squared coordinate gaps are 1 and eight times 2**-54:
+    # summed coordinate by coordinate they give 1, summed in pairs 1 + 2**-52
+    high_rng = np.random.default_rng(9)
+    for name in ("cloud_9d", "cloud_9d_other"):
+        put("high_dim", name,
+            _measure_doc(high_rng.standard_normal((30, 9)), _weights(high_rng, 30)))
+    put("high_dim", "point_9d", _measure_doc(np.zeros((1, 9)), [1.0]))
+    put("high_dim", "point_9d_gaps", _measure_doc([[1.0] + [2.0**-27] * 8], [1.0]))
 
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
@@ -232,6 +243,11 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["pushforward", "axes_2d", "--offsets", gen("offsets_cloud")],
         ["approx-dual", "axes_2d", "--operator", gen("op_3d")],
         ["approx-dual", "axes_2d", "--operator", "axes_2d"],
+        ["analyze", gen("cloud_9d")],
+        ["w2", gen("cloud_9d"), gen("cloud_9d_other")],
+        ["w2", gen("point_9d"), gen("point_9d_gaps")],
+        ["canonical-dual", gen("cloud_9d")],
+        ["sample-dual", gen("cloud_9d"), "--samples", "12"],
     ]
     for c in couplings:
         argvs += [
