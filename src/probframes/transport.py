@@ -5,9 +5,9 @@ validated on construction. The Wasserstein-2 solver is a transportation
 network simplex over the plan polytope: spanning-tree basis, Bland's
 anti-cycling entering rule, dual potentials rebuilt from the tree each
 pivot, and a complementary-slackness certificate at termination. The
-same solver doubles as the linear-minimization oracle for the
-Frank-Wolfe search over couplings with a prescribed mixed frame
-operator.
+same solver doubles as the linear-minimization oracle of Wolfe's
+minimum-norm-point search for the coupling whose mixed frame operator
+is nearest a prescribed one.
 """
 
 from __future__ import annotations
@@ -441,13 +441,54 @@ def glue(c12: Coupling, c23: Coupling) -> Coupling:
 
 @dataclass(frozen=True)
 class MixedOperatorSearch:
-    """Outcome of the mixed-operator Frank-Wolfe search."""
+    """Outcome of the minimum-norm-point search for a mixed operator.
+
+    residual is |mixed_frame_operator(coupling) - target|_F, gap Wolfe's
+    optimality gap at the last oracle call, iterations the major cycles
+    (oracle calls) made, active_set the number of vertex plans whose
+    convex combination is the coupling, and residuals the residual at
+    the start of each major cycle followed by the final one.
+    """
 
     coupling: Coupling
     residual: float
     gap: float
     iterations: int
+    active_set: int
     residuals: list[float] = field(repr=False)
+
+
+def _minor_cycles(points: np.ndarray, lam: np.ndarray):
+    """Wolfe's minor cycles over the rows of points from convex weights lam.
+
+    Each cycle solves the affine system [Z Z^T 1; 1^T 0] for the
+    least-norm point of the rows' affine hull. If all its weights are
+    positive they are the answer; otherwise lam steps towards them until
+    the first weight reaches zero, and every row whose weight reached
+    zero is dropped. Returns (kept row indices, their weights), or None
+    when the system is singular.
+    """
+    keep = np.arange(lam.size)
+    while True:
+        k = keep.size
+        system = np.ones((k + 1, k + 1))
+        system[:k, :k] = points[keep] @ points[keep].T
+        system[k, k] = 0.0
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        try:
+            alpha = np.linalg.solve(system, rhs)[:k]
+        except np.linalg.LinAlgError:
+            return None
+        if alpha.min() > 0.0:
+            return keep, alpha
+        down = np.flatnonzero(alpha <= 0.0)
+        fall = lam[down] - alpha[down]
+        ratio = np.divide(lam[down], fall, out=np.zeros_like(fall), where=fall > 0.0)
+        lam = lam + ratio.min() * (alpha - lam)
+        lam[down[ratio.argmin()]] = 0.0
+        positive = lam > 0.0
+        keep, lam = keep[positive], lam[positive] / lam[positive].sum()
 
 
 def optimize_mixed_operator(
@@ -459,11 +500,23 @@ def optimize_mixed_operator(
 ) -> MixedOperatorSearch:
     """Search the coupling polytope for a prescribed mixed frame operator.
 
-    Minimizes |mixed_frame_operator(plan) - target|_F^2 by Frank-Wolfe
-    with the transportation simplex as linear oracle and exact line
-    search. Stops when the duality gap certifies the squared residual is
-    within tol of the polytope optimum, or after iters iterations. The
-    residual sequence is nonincreasing.
+    Minimizes |mixed_frame_operator(plan) - target|_F by Wolfe's
+    minimum-norm-point algorithm over the points z_P = x^T P y - target,
+    with the transportation simplex as linear oracle. The active set is
+    a list of vertex plans with convex weights, started at the product
+    plan; each major cycle adds the oracle's vertex for cost x p y^T,
+    where p is the current point, and its minor cycles solve the affine
+    system over the active set and step back to the polytope, dropping
+    every plan whose weight reaches zero. At most d d' + 1 plans stay
+    active, and the returned plan is their convex combination, so it is
+    nonnegative and exact on its marginals.
+
+    Stops when Wolfe's gap |p|^2 - min_v <p, z_v> is within tol, or
+    after iters major cycles. It also stops at the last point when the
+    affine system becomes singular or a major cycle fails to decrease
+    |p|^2, which only rounding can cause. The residuals recorded at the
+    major cycles decrease; the final one, recomputed from the returned
+    plan, can exceed the last of them by rounding only.
     """
     if iters < 1:
         raise BadArgument(f"the search needs at least one iteration, got {iters}")
@@ -473,38 +526,49 @@ def optimize_mixed_operator(
         raise DimMismatch(
             f"target shape {t_mat.shape} does not match ({mu.dim}, {nu.dim})"
         )
-    plan = np.outer(mu.weights, nu.weights)
-    mixed = x.T @ plan @ y
+
+    def point(plan):
+        return (x.T @ plan @ y - t_mat).ravel()
+
+    plans = [np.outer(mu.weights, nu.weights)]
+    points = point(plans[0])[None, :]
+    weights = np.ones(1)
+    p = points[0]
     residuals: list[float] = []
     gap = math.inf
     iterations = 0
     tree = None
     for iterations in range(1, iters + 1):
-        r = mixed - t_mat
-        residuals.append(float(np.linalg.norm(r)))
-        grad = 2.0 * x @ r @ y.T
+        norm2 = float(p @ p)
+        residuals.append(math.sqrt(norm2))
         vertex, tree, _ = _transport_simplex(
-            mu.weights, nu.weights, grad, start=tree
+            mu.weights, nu.weights, x @ p.reshape(t_mat.shape) @ y.T, start=tree
         )
-        gap = float((grad * (plan - vertex)).sum())
-        if gap <= tol:
+        z = point(vertex)
+        gap = norm2 - float(p @ z)
+        # d d' + 2 points are affinely dependent: the system is singular
+        if gap <= tol or len(plans) > t_mat.size:
             break
-        step_dir = x.T @ vertex @ y - mixed
-        denom = float((step_dir * step_dir).sum())
-        if denom == 0.0:
+        candidates = np.vstack([points, z])
+        trial = _minor_cycles(candidates, np.append(weights, 0.0))
+        if trial is None:
             break
-        t = min(1.0, max(0.0, -float((r * step_dir).sum()) / denom))
-        if t == 0.0:
+        keep, lam = trial
+        trial_p = lam @ candidates[keep]
+        if float(trial_p @ trial_p) >= norm2:
             break
-        plan = plan + t * (vertex - plan)
-        mixed = mixed + t * step_dir
-    residual = float(np.linalg.norm(mixed - t_mat))
+        plans.append(vertex)
+        plans = [plans[k] for k in keep]
+        points, weights, p = candidates[keep], lam, trial_p
+    plan = sum(w * q for w, q in zip(weights, plans))
+    residual = float(np.linalg.norm(point(plan)))
     residuals.append(residual)
     return MixedOperatorSearch(
         coupling=Coupling(mu, nu, plan),
         residual=residual,
         gap=gap,
         iterations=iterations,
+        active_set=len(plans),
         residuals=residuals,
     )
 

@@ -1,10 +1,13 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from probframes import cli, transport
+from probframes.duals import certify
 from probframes.errors import (
     InternalInvariantError,
     MarginalMismatch,
@@ -447,6 +450,23 @@ def test_coupling_dict_round_trip():
     assert np.array_equal(back.target.weights, c.target.weights)
 
 
+def degenerate_measure(draw, rng, size, dim, scale):
+    """Gaussian, lattice-tied or duplicated atoms; uniform or cubed weights."""
+    family = draw(st.sampled_from(["gauss", "lattice", "duplicates"]))
+    if family == "gauss":
+        atoms = rng.standard_normal((size, dim))
+    elif family == "lattice":
+        atoms = rng.integers(0, 3, (size, dim)).astype(float)
+    else:
+        k = max(1, size // 2)
+        atoms = rng.standard_normal((k, dim))[rng.integers(0, k, size)]
+    if draw(st.booleans()):
+        w = rng.uniform(0.0, 1.0, size) ** 3 + 1e-12
+    else:
+        w = np.ones(size)
+    return DiscreteMeasure(scale * atoms, w / w.sum())
+
+
 @st.composite
 def transport_problems(draw):
     """Degenerate W2 problems: ties, duplicates, tiny weights, wide scales."""
@@ -454,23 +474,27 @@ def transport_problems(draw):
     m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     dim = draw(st.integers(1, 3))
     scale = 10.0 ** draw(st.integers(-4, 4))
+    return (
+        degenerate_measure(draw, rng, m, dim, scale),
+        degenerate_measure(draw, rng, n, dim, scale),
+    )
 
-    def measure(size):
-        family = draw(st.sampled_from(["gauss", "lattice", "duplicates"]))
-        if family == "gauss":
-            atoms = rng.standard_normal((size, dim))
-        elif family == "lattice":
-            atoms = rng.integers(0, 3, (size, dim)).astype(float)
-        else:
-            k = max(1, size // 2)
-            atoms = rng.standard_normal((k, dim))[rng.integers(0, k, size)]
-        if draw(st.booleans()):
-            w = rng.uniform(0.0, 1.0, size) ** 3 + 1e-12
-        else:
-            w = np.ones(size)
-        return DiscreteMeasure(scale * atoms, w / w.sum())
 
-    return measure(m), measure(n)
+def highs_transport(cost, a, b):
+    """HiGHS's minimum of <cost, plan> over the couplings of a and b."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = cost.shape
+    rows = np.kron(np.eye(m), np.ones(n))
+    cols = np.kron(np.ones(m), np.eye(n))
+    lp = linprog(
+        cost.ravel(),
+        A_eq=np.vstack([rows, cols]),
+        b_eq=np.concatenate([a, b]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert lp.status == 0
+    return lp.fun
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -478,20 +502,222 @@ def transport_problems(draw):
 def test_w2_matches_highs_lp(problem):
     mu, nu = problem
     cost = sq_dists(mu.atoms, nu.atoms)
-    m, n = cost.shape
-    rows = np.kron(np.eye(m), np.ones(n))
-    cols = np.kron(np.ones(m), np.eye(n))
-    lp = linprog(
-        cost.ravel(),
-        A_eq=np.vstack([rows, cols]),
-        b_eq=np.concatenate([mu.weights, nu.weights]),
-        bounds=(0, None),
-        method="highs",
-    )
-    assert lp.status == 0
+    value = highs_transport(cost, mu.weights, nu.weights)
     result = solve_w2(mu, nu)
-    assert abs(result.cost - lp.fun) <= 1e-7 * max(1.0, float(cost.max()))
+    assert abs(result.cost - value) <= 1e-7 * max(1.0, float(cost.max()))
     plan = result.plan.plan
     assert plan.min() >= 0.0
     assert np.abs(plan.sum(axis=1) - mu.weights).max() <= 1e-10
     assert np.abs(plan.sum(axis=0) - nu.weights).max() <= 1e-10
+
+
+def exact_tree_gap(a, b, cost, tree):
+    """Replay a spanning tree of the transportation problem in rationals.
+
+    The float weights and costs are taken as exact rationals. The tree
+    flows come from leaf elimination, the column potentials from the
+    tree arcs (u_0 = 0), and every row potential is then reset to
+    u_i = min_j (c_ij - v_j), so (u, v) is dual feasible and its value
+    is a lower bound on the optimum with no rounding anywhere. Returns
+    (primal - dual, flows): the exact primal-dual gap of the tree and
+    its flows, which are exact on every marginal but the last node
+    eliminated, where the float weights' own imbalance sum(a) - sum(b)
+    is left.
+    """
+    m, n = cost.shape
+    a = [Fraction(w) for w in a.tolist()]
+    b = [Fraction(w) for w in b.tolist()]
+    c = [[Fraction(v) for v in row] for row in cost.tolist()]
+    neighbours = {k: set() for k in range(m + n)}
+    for i, j in tree:
+        neighbours[i].add(m + j)
+        neighbours[m + j].add(i)
+    net = a + [-w for w in b]
+    flows = {}
+    leaves = [k for k in range(m + n) if len(neighbours[k]) == 1]
+    while leaves:
+        k = leaves.pop()
+        if not neighbours[k]:
+            continue
+        w = neighbours[k].pop()
+        neighbours[w].discard(k)
+        flows[(k, w - m) if k < m else (w, k - m)] = net[k] if k < m else -net[k]
+        net[w] += net[k]
+        if len(neighbours[w]) == 1:
+            leaves.append(w)
+    assert len(flows) == m + n - 1
+    u, v = [None] * m, [None] * n
+    u[0] = Fraction(0)
+    while any(x is None for x in v):
+        for i, j in tree:
+            if u[i] is not None and v[j] is None:
+                v[j] = c[i][j] - u[i]
+            elif v[j] is not None and u[i] is None:
+                u[i] = c[i][j] - v[j]
+    u = [min(c[i][j] - v[j] for j in range(n)) for i in range(m)]
+    primal = sum(c[i][j] * f for (i, j), f in flows.items())
+    dual = sum(ai * ui for ai, ui in zip(a, u)) + sum(bj * vj for bj, vj in zip(b, v))
+    return primal - dual, flows
+
+
+def assert_exactly_optimal(a, b, cost, plan, tree):
+    """The returned tree closes the exact gap; the plan is its flows."""
+    gap, flows = exact_tree_gap(a, b, cost, tree)
+    assert abs(gap) <= 1e-12 * max(1.0, float(np.abs(cost).max()))
+    assert min(flows.values()) >= -1e-15
+    exact = np.zeros(cost.shape)
+    for (i, j), f in flows.items():
+        exact[i, j] = float(f)
+    assert np.abs(plan - exact).max() <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transport_problems())
+def test_simplex_trees_pass_the_rational_oracle(problem):
+    mu, nu = problem
+    cost = sq_dists(mu.atoms, nu.atoms)
+    plan, tree, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
+    assert_exactly_optimal(mu.weights, nu.weights, cost, plan, tree)
+
+
+def test_rational_oracle_catches_a_suboptimal_tree():
+    rng = np.random.default_rng(21)
+    mu, nu = random_measure(rng, 2, 6), random_measure(rng, 2, 7)
+    cost = sq_dists(mu.atoms, nu.atoms)
+    plan, tree, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
+    assert stats.pivots > stats.degenerate_pivots
+    planted = transport._northwest_tree(mu.weights, nu.weights)
+    assert sorted(planted) != tree
+    gap, _ = exact_tree_gap(mu.weights, nu.weights, cost, planted)
+    assert gap > 1e-3
+    with pytest.raises(AssertionError):
+        assert_exactly_optimal(mu.weights, nu.weights, cost, plan, planted)
+
+
+def interior_pair(n, d):
+    """A pair built like perfbench's mixed_search: nu's atoms are
+    pinv(x^T P) for a strictly positive coupling P of mu, so x^T P y = Id
+    and an exact dual plan lies inside the coupling polytope."""
+    rng = np.random.default_rng(n * d)
+    x = rng.standard_normal((n, d))
+    w = rng.uniform(0.5, 1.5, n)
+    w /= w.sum()
+    q = rng.uniform(0.5, 1.5, (n, n))
+    plan = q * (w / q.sum(axis=1))[:, None]
+    y, v = np.linalg.pinv(x.T @ plan), plan.sum(axis=0)
+    return DiscreteMeasure(x, w), DiscreteMeasure(y, v / v.sum())
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (15, 3), (30, 3)])
+def test_search_certifies_interior_targets_exact(n, d):
+    mu, nu = interior_pair(n, d)
+    search = optimize_mixed_operator(mu, nu, np.eye(d))
+    assert certify(search.coupling).classification == "exact"
+    assert search.iterations <= 2 * (d * d + 1)
+    assert search.active_set <= d * d + 1
+    assert search.residual == search.residuals[-1] <= 1e-9
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (15, 3)])
+def test_search_outside_the_image_stops_at_the_min_norm_point(n, d):
+    mu, nu = interior_pair(n, d)
+    target = 3.0 * np.eye(d)
+    search = optimize_mixed_operator(mu, nu, target)
+    assert search.gap <= 1e-8
+    assert search.active_set <= d * d + 1
+    p = mixed_frame_operator(search.coupling) - target
+    norm2 = float((p * p).sum())
+    assert norm2 > 0.1
+    # min over couplings P of <p, x^T P y - target> is at least |p|^2:
+    # no coupling lies beyond the hyperplane through p normal to p
+    lowest = highs_transport(mu.atoms @ p @ nu.atoms.T, mu.weights, nu.weights)
+    assert lowest - float((p * target).sum()) >= norm2 - 1e-7 * max(1.0, norm2)
+
+
+def test_search_vertices_pass_the_rational_oracle(monkeypatch):
+    solves = []
+    solve = transport._transport_simplex
+
+    def recording(a, b, cost, start=None):
+        plan, tree, stats = solve(a, b, cost, start=start)
+        solves.append((a, b, cost, plan, tree))
+        return plan, tree, stats
+
+    monkeypatch.setattr(transport, "_transport_simplex", recording)
+    mu, nu = interior_pair(8, 2)
+    search = optimize_mixed_operator(mu, nu, 3.0 * np.eye(2))
+    assert len(solves) == search.iterations > 5
+    for solved in solves:
+        assert_exactly_optimal(*solved)
+
+
+@st.composite
+def mixed_problems(draw):
+    """Degenerate search inputs: m != n and d != d' allowed, targets of
+    the operators' scale or off it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    d, e = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    mu = degenerate_measure(draw, rng, m, d, scale)
+    nu = degenerate_measure(draw, rng, n, e, scale)
+    shape = draw(st.sampled_from(["identity", "gauss", "zero"]))
+    if shape == "identity":
+        target = np.eye(d, e)
+    elif shape == "gauss":
+        target = rng.standard_normal((d, e))
+    else:
+        target = np.zeros((d, e))
+    return mu, nu, scale ** draw(st.integers(0, 2)) * target
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mixed_problems())
+def test_search_on_degenerate_inputs(problem):
+    mu, nu, target = problem
+    search = optimize_mixed_operator(mu, nu, target, iters=500)
+    plan = search.coupling.plan
+    assert plan.min() >= 0.0
+    assert max(transport._marginal_errors(plan, mu, nu)) <= 1e-12
+    assert search.active_set <= mu.dim * nu.dim + 1
+    res = search.residuals
+    assert res[-1] == search.residual
+    slack = 1e-12 * max(1.0, res[0])
+    assert all(later <= earlier + slack for earlier, later in zip(res, res[1:]))
+
+
+def test_search_stops_where_rounding_keeps_the_gap_above_tol():
+    # one source atom admits one coupling; at this scale the oracle's
+    # copy of it leaves Wolfe's gap above tol, and the cycle that cannot
+    # decrease the norm ends the search instead of the cap
+    rng = np.random.default_rng(36)
+    mu = dirac(1e3 * rng.standard_normal(1))
+    nu = uniform(1e3 * rng.standard_normal((6, 1)))
+    search = optimize_mixed_operator(mu, nu, np.eye(1), iters=50)
+    assert search.gap > 1e-8
+    assert search.iterations == search.active_set == 1
+    # here rounding keeps the gap above tol once all d d' + 1 = 3 places
+    # of the active set are filled; a fourth point would be affinely
+    # dependent on them
+    rng = np.random.default_rng(0)
+    mu = uniform(1e3 * rng.standard_normal((2, 1)))
+    nu = uniform(1e3 * rng.standard_normal((6, 2)))
+    search = optimize_mixed_operator(mu, nu, np.eye(1, 2))
+    assert search.gap > 1e-8
+    assert search.iterations == search.active_set == 3
+    assert search.residual <= 1e-10
+    # lattice source atoms: at the second cycle the oracle returns a
+    # vertex already active, the affine system is singular, and the
+    # search keeps the point it had
+    rng = np.random.default_rng(0)
+    mu = uniform(1e3 * rng.integers(0, 3, (2, 2)).astype(float))
+    nu = uniform(1e3 * rng.standard_normal((4, 1)))
+    search = optimize_mixed_operator(mu, nu, np.array([[1.0], [0.0]]))
+    assert search.gap > 1e-8
+    assert search.iterations == search.active_set == 2
+
+
+def test_search_block_of_the_cli_keeps_its_three_fields(capsys):
+    assert cli.main(["certify", "axes_2d", "axes_2d"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["search"]) == ["residual", "gap", "iterations"]

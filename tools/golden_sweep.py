@@ -84,7 +84,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     files: dict[str, object] = {}
     groups: dict[str, list[str]] = {
         "measure": [], "coupling": [], "matrix": [], "bad": [], "subsample": [],
-        "high_dim": [],
+        "high_dim": [], "interior": [],
     }
 
     def put(kind: str, name: str, doc):
@@ -129,6 +129,20 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
             _measure_doc(high_rng.standard_normal((30, 9)), _weights(high_rng, 30)))
     put("high_dim", "point_9d", _measure_doc(np.zeros((1, 9)), [1.0]))
     put("high_dim", "point_9d_gaps", _measure_doc([[1.0] + [2.0**-27] * 8], [1.0]))
+
+    # pairs with an exact dual plan strictly inside the coupling polytope
+    # (own generator): nu's atoms are pinv(x^T P) for a positive coupling
+    # P of mu, so certify mu nu can reach the identity exactly
+    interior_rng = np.random.default_rng(8)
+    for n, d in ((8, 2), (15, 3)):
+        x = interior_rng.standard_normal((n, d))
+        w = _weights(interior_rng, n)
+        q = interior_rng.uniform(0.5, 1.5, (n, n))
+        plan = q * (w / q.sum(axis=1))[:, None]
+        v = plan.sum(axis=0)
+        put("interior", f"interior_{n}x{d}_mu", _measure_doc(x, w))
+        put("interior", f"interior_{n}x{d}_nu",
+            _measure_doc(np.linalg.pinv(x.T @ plan), v / v.sum()))
 
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
@@ -233,6 +247,8 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
     argvs += [
         ["certify", "axes_2d", gen("axes_2d_near"), "--iters", "500"],
         ["certify", gen("cloud_2d"), gen("small_2d"), "--iters", "300"],
+        ["certify", gen("interior_8x2_mu"), gen("interior_8x2_nu")],
+        ["certify", gen("interior_15x3_mu"), gen("interior_15x3_nu")],
         ["sample-dual", "shifted_gauss_100", "--samples", "12", "--a-n", "0.3"],
         ["sample-dual", "shifted_gauss_100", "--samples", "16"],
         ["sample-dual", "shifted_gauss_100", "--samples", "20"],
