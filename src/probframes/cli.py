@@ -22,6 +22,7 @@ import numpy as np
 
 from . import fixtures
 from .duals import (
+    EXACT_TOL,
     approx_dual_pushforward,
     bound_inequalities,
     certificate_to_dict,
@@ -45,6 +46,7 @@ from .perturbation import (
 )
 from .redundancy import redundancy_rank, redundancy_trace
 from .transport import (
+    SEARCH_ITERS,
     Coupling,
     _marginal_errors,
     coupling_from_dict,
@@ -299,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="NAME",
             help="append a bundled fixture as an input",
         )
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=EXACT_TOL)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--iters", type=int, default=10000)
+        p.add_argument("--iters", type=int, default=SEARCH_ITERS)
         p.add_argument("--output", choices=("json", "text"), default="json")
         if name == "approx-dual":
             p.add_argument("--operator", required=True, metavar="MATRIX")

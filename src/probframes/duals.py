@@ -37,7 +37,6 @@ from .numerics import inverse, spectral_norm
 from .transport import Coupling, graph_coupling, mixed_frame_operator, push_target
 
 EXACT_TOL = 1e-9
-SOURCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,7 @@ def convex_combination_certificate(
     """
     if not 0.0 <= w <= 1.0:
         raise BadWeights(f"mixture weight {w} is outside [0, 1]")
-    if not same_measure(c1.source, c2.source, SOURCE_TOL):
+    if not same_measure(c1.source, c2.source):
         raise SourceMismatch("couplings do not share their source measure")
     d1, d2 = certify(c1, tol), certify(c2, tol)
     if not (d1.deviation < 1.0 and d2.deviation < 1.0):

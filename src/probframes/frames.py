@@ -65,8 +65,8 @@ def analyze(m: DiscreteMeasure, tol: float = FRAME_RTOL) -> FrameReport:
     )
 
 
-def _inverse_frame_operator(m: DiscreteMeasure, tol: float = FRAME_RTOL) -> np.ndarray:
-    report = analyze(m, tol)
+def _inverse_frame_operator(m: DiscreteMeasure) -> np.ndarray:
+    report = analyze(m)
     if not report.is_frame:
         raise NotAFrame(
             f"smallest frame-operator eigenvalue {report.lower_bound:.3e} "

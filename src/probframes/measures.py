@@ -18,6 +18,7 @@ from .numerics import as_matrix
 
 WEIGHT_TOL = 1e-12
 COALESCE_TOL = 1e-12
+SAME_TOL = 1e-10
 
 
 def _as_floats(value, error) -> np.ndarray:
@@ -163,14 +164,15 @@ def merge_atoms(
     return DiscreteMeasure(atoms[reps], merged)
 
 
-def same_measure(a: DiscreteMeasure, b: DiscreteMeasure, tol: float) -> bool:
+def same_measure(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
     """Atom-by-atom equality: same size and dimension, each atom within
-    Euclidean distance tol of its partner, each weight within tol."""
+    Euclidean distance SAME_TOL of its partner, each weight within
+    SAME_TOL."""
     return (
         a.size == b.size
         and a.dim == b.dim
-        and float(np.linalg.norm(a.atoms - b.atoms, axis=1).max()) <= tol
-        and float(np.abs(a.weights - b.weights).max()) <= tol
+        and float(np.linalg.norm(a.atoms - b.atoms, axis=1).max()) <= SAME_TOL
+        and float(np.abs(a.weights - b.weights).max()) <= SAME_TOL
     )
 
 

@@ -30,8 +30,6 @@ from .numerics import eig_sym, inverse, sq_dists
 from . import transport as _transport
 from .transport import Coupling, glue, graph_coupling, solve_w2, transport_cost
 
-MATCH_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class HypothesisFlags:
@@ -77,7 +75,7 @@ class PerturbationReport:
 
 def _expect_marginals(c: Coupling, left: DiscreteMeasure, right: DiscreteMeasure):
     for got, want, side in ((c.source, left, "source"), (c.target, right, "target")):
-        if not same_measure(got, want, MATCH_TOL):
+        if not same_measure(got, want):
             raise MarginalMismatch(f"coupling {side} is not the expected measure")
 
 

@@ -2,9 +2,10 @@
 
 A coupling stores the full plan matrix against its two marginals and is
 validated on construction. The Wasserstein-2 solver is a transportation
-network simplex over the plan polytope: spanning-tree basis, Bland's
-anti-cycling entering rule, dual potentials rebuilt from the tree each
-pivot, and a complementary-slackness certificate at termination. The
+network simplex over the plan polytope: spanning-tree basis, pricing by
+most-negative reduced cost with Bland's rule as the anti-cycling
+fallback, dual potentials shifted on the subtree each pivot cuts off,
+and a complementary-slackness certificate at termination. The
 same solver doubles as the linear-minimization oracle of Wolfe's
 minimum-norm-point search for the coupling whose mixed frame operator
 is nearest a prescribed one.
@@ -39,6 +40,7 @@ from .numerics import as_matrix, sq_dists
 
 MARGINAL_TOL = 1e-10
 CERTIFICATE_TOL = 1e-9
+SEARCH_ITERS = 10000
 
 
 @dataclass(frozen=True)
@@ -212,29 +214,35 @@ def _tree_flows(
     return flows
 
 
+def _walk(
+    adj: dict[int, set[int]], root: int, goal: int | None = None
+) -> dict[int, int | None]:
+    """Depth-first walk of a tree from root: {node: parent}, root's parent
+    None, each node listed after its parent. Stops once goal is listed."""
+    parent: dict[int, int | None] = {root: None}
+    stack = [root]
+    while stack and goal not in parent:
+        k = stack.pop()
+        up = parent[k]
+        for w in adj[k]:
+            if w != up:
+                parent[w] = k
+                stack.append(w)
+    return parent
+
+
 def _tree_duals(
     m: int, n: int, adj: dict[int, set[int]], cost: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Potentials with u_i + v_j = cost_ij on every tree arc, u_0 = 0."""
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        if k < m:
-            for w in adj[k]:
-                j = w - m
-                if math.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append(w)
-        else:
-            j = k - m
-            for w in adj[k]:
-                if math.isnan(u[w]):
-                    u[w] = cost[w, j] - v[j]
-                    stack.append(w)
-    return u, v
+    """Potentials with u_i + v_j = cost_ij on every tree arc, u_0 = 0.
+
+    Rows are nodes 0..m-1 and columns m..m+n-1 of one potential list;
+    each node's potential is its arc's cost less its parent's.
+    """
+    pot = [0.0] * (m + n)
+    for k, p in itertools.islice(_walk(adj, 0).items(), 1, None):
+        pot[k] = (cost[k, p - m] if k < m else cost[p, k - m]) - pot[p]
+    return np.array(pot[:m]), np.array(pot[m:])
 
 
 def _pivot_budget(m: int, n: int) -> int:
@@ -300,28 +308,17 @@ def _transport_simplex(
         ei, ej = divmod(flat, n)
         delta = float(reduced[ei, ej])
 
-        # unique tree path from row node ei to column node m + ej
-        parent: dict[int, int | None] = {ei: None}
-        stack = [ei]
-        while (m + ej) not in parent:
-            k = stack.pop()
-            for w in adj[k]:
-                if w not in parent:
-                    parent[w] = k
-                    stack.append(w)
-        path = [m + ej]
-        while path[-1] != ei:
-            path.append(parent[path[-1]])
-        path.reverse()
-
-        # cells along the cycle alternate signs, starting at -1 next to
-        # the entering cell (ei, ej)
-        minus: list[tuple[int, int]] = []
-        plus: list[tuple[int, int]] = []
-        for k in range(len(path) - 1):
-            p, q = path[k], path[k + 1]
-            arc = (p, q - m) if p < m else (q, p - m)
-            (minus if k % 2 == 0 else plus).append(arc)
+        # the unique tree path from column node m + ej back to row node
+        # ei has odd length; its cells alternate signs, starting at -1 at
+        # both ends, next to the entering cell (ei, ej)
+        parent = _walk(adj, ei, goal=m + ej)
+        cycle: list[tuple[int, int]] = []
+        k = m + ej
+        while k != ei:
+            p = parent[k]
+            cycle.append((k, p - m) if k < m else (p, k - m))
+            k = p
+        minus, plus = cycle[::2], cycle[1::2]
         theta = min(flows[arc] for arc in minus)
         leaving = min(arc for arc in minus if flows[arc] <= theta)
         if theta <= 0.0:
@@ -342,15 +339,7 @@ def _transport_simplex(
         # removing the leaving arc separates ei from m + ej; shift the
         # potentials of the component holding m + ej by the old reduced
         # cost so the entering arc becomes tight
-        comp = {m + ej}
-        stack = [m + ej]
-        while stack:
-            k = stack.pop()
-            for w in adj[k]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        for k in comp:
+        for k in _walk(adj, m + ej):
             if k < m:
                 u[k] -= delta
             else:
@@ -430,7 +419,7 @@ def glue(c12: Coupling, c23: Coupling) -> Coupling:
     measures must agree atom by atom. The result is the standard gluing,
     which disintegrates c23 along the middle marginal.
     """
-    if not same_measure(c12.target, c23.source, MARGINAL_TOL):
+    if not same_measure(c12.target, c23.source):
         raise MarginalMismatch("middle marginals of the two couplings differ")
     rows = c23.plan.sum(axis=1)
     if float(rows.min()) <= 0.0:
@@ -495,7 +484,7 @@ def optimize_mixed_operator(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     target,
-    iters: int = 10000,
+    iters: int = SEARCH_ITERS,
     tol: float = 1e-8,
 ) -> MixedOperatorSearch:
     """Search the coupling polytope for a prescribed mixed frame operator.
@@ -511,12 +500,14 @@ def optimize_mixed_operator(
     active, and the returned plan is their convex combination, so it is
     nonnegative and exact on its marginals.
 
-    Stops when Wolfe's gap |p|^2 - min_v <p, z_v> is within tol, or
-    after iters major cycles. It also stops at the last point when the
-    affine system becomes singular or a major cycle fails to decrease
-    |p|^2, which only rounding can cause. The residuals recorded at the
-    major cycles decrease; the final one, recomputed from the returned
-    plan, can exceed the last of them by rounding only.
+    Stops when Wolfe's gap |p|^2 - min_v <p, z_v> is within tol times
+    the squared residual of the product plan (both scale alike with the
+    coordinates and the target), or after iters major cycles. It also
+    stops at the last point when the affine system becomes singular or
+    a major cycle fails to decrease |p|^2, which only rounding can
+    cause. The residuals recorded at the major cycles decrease; the
+    final one, recomputed from the returned plan, can exceed the last
+    of them by rounding only.
     """
     if iters < 1:
         raise BadArgument(f"the search needs at least one iteration, got {iters}")
@@ -547,7 +538,7 @@ def optimize_mixed_operator(
         z = point(vertex)
         gap = norm2 - float(p @ z)
         # d d' + 2 points are affinely dependent: the system is singular
-        if gap <= tol or len(plans) > t_mat.size:
+        if gap <= tol * residuals[0] ** 2 or len(plans) > t_mat.size:
             break
         candidates = np.vstack([points, z])
         trial = _minor_cycles(candidates, np.append(weights, 0.0))

@@ -195,7 +195,7 @@ def test_same_measure_boundary_in_2d():
     _, canonical = canonical_dual(mu)
     for step, same in ((0.8e-10, False), (0.5e-10, True)):
         moved = DiscreteMeasure(mu.atoms + step, mu.weights)
-        assert same_measure(mu, moved, 1e-10) is same
+        assert same_measure(mu, moved) is same
         callers = (
             (MarginalMismatch, lambda: glue(
                 product_coupling(mu, mu), product_coupling(moved, mu)
@@ -214,4 +214,4 @@ def test_same_measure_boundary_in_2d():
                 with pytest.raises(error):
                     call()
     heavier = DiscreteMeasure(mu.atoms, [0.2 + 2e-10, 0.3 - 2e-10, 0.5])
-    assert not same_measure(mu, heavier, 1e-10)
+    assert not same_measure(mu, heavier)

@@ -1,4 +1,8 @@
+import inspect
 import json
+import sys
+import types
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -311,6 +315,225 @@ def test_tree_flows_match_neighbour_sets():
     assert checked > 200 and raised > 20
 
 
+def neighbour_set_duals(m, n, adj, cost):
+    """Potentials by a NaN-marked stack walk from row 0, as the solver
+    computed them before it had one tree walk: the reference for
+    bit-identical potentials."""
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    u[0] = 0.0
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        if k < m:
+            for w in adj[k]:
+                j = w - m
+                if np.isnan(v[j]):
+                    v[j] = cost[k, j] - u[k]
+                    stack.append(w)
+        else:
+            j = k - m
+            for w in adj[k]:
+                if np.isnan(u[w]):
+                    u[w] = cost[w, j] - v[j]
+                    stack.append(w)
+    return u, v
+
+
+def neighbour_set_simplex(a, b, cost, start=None):
+    """The pivot loop with its own path and component searches over
+    neighbour sets, as the solver ran before it had one tree walk: the
+    reference for bit-identical plans, trees and stats."""
+    m, n = cost.shape
+    eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
+    tree = transport._northwest_tree(a, b) if start is None else start
+    flows = transport._tree_flows(m, n, tree, a, b)
+    adj = {k: set() for k in range(m + n)}
+    for i, j in tree:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    u, v = neighbour_set_duals(m, n, adj, cost)
+    reduced = np.empty_like(cost)
+    stall_limit = 30 + (m + n) // 2
+    stalled = degenerate = bland = 0
+    for pivots in range(transport._pivot_budget(m, n)):
+        np.subtract(cost, u[:, None], out=reduced)
+        reduced -= v[None, :]
+        if stalled <= stall_limit:
+            flat = int(reduced.argmin())
+            if reduced.flat[flat] >= -eps:
+                break
+        else:
+            candidates = np.flatnonzero((reduced < -eps).ravel())
+            if candidates.size == 0:
+                break
+            flat = int(candidates[0])
+            bland += 1
+        ei, ej = divmod(flat, n)
+        delta = float(reduced[ei, ej])
+        parent = {ei: None}
+        stack = [ei]
+        while (m + ej) not in parent:
+            k = stack.pop()
+            for w in adj[k]:
+                if w not in parent:
+                    parent[w] = k
+                    stack.append(w)
+        path = [m + ej]
+        while path[-1] != ei:
+            path.append(parent[path[-1]])
+        path.reverse()
+        minus, plus = [], []
+        for k in range(len(path) - 1):
+            p, q = path[k], path[k + 1]
+            arc = (p, q - m) if p < m else (q, p - m)
+            (minus if k % 2 == 0 else plus).append(arc)
+        theta = min(flows[arc] for arc in minus)
+        leaving = min(arc for arc in minus if flows[arc] <= theta)
+        if theta <= 0.0:
+            stalled += 1
+            degenerate += 1
+        else:
+            stalled = 0
+        for arc in plus:
+            flows[arc] += theta
+        for arc in minus:
+            flows[arc] -= theta
+        flows[(ei, ej)] = theta
+        del flows[leaving]
+        adj[leaving[0]].discard(m + leaving[1])
+        adj[m + leaving[1]].discard(leaving[0])
+        comp = {m + ej}
+        stack = [m + ej]
+        while stack:
+            k = stack.pop()
+            for w in adj[k]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        for k in comp:
+            if k < m:
+                u[k] -= delta
+            else:
+                v[k - m] += delta
+        adj[ei].add(m + ej)
+        adj[m + ej].add(ei)
+    else:
+        raise InternalInvariantError("transportation simplex failed to terminate")
+    flows = transport._tree_flows(m, n, flows, a, b)
+    plan = np.zeros((m, n))
+    for (i, j), f in flows.items():
+        plan[i, j] = f
+    transport._certify(plan, u, v, cost)
+    return plan, sorted(flows), transport.SolveStats(pivots, degenerate, bland)
+
+
+def seeded_transport_problem(seed):
+    """Marginals, a cost and a second cost on the same marginals for a
+    warm start. Gaussian, lattice-tied or duplicated atoms, uniform or
+    cubed weights, coordinate scales 1e-3 to 1e3; in each five cases one
+    has a single row, one a single column and one m = n."""
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(1, 25, 2))
+    m, n = {0: (1, n), 1: (m, 1), 2: (m, m)}.get(seed % 5, (m, n))
+    dim, scale = int(rng.integers(1, 4)), 10.0 ** int(rng.integers(-3, 4))
+    return warm_problem(*(
+        sampled_measure(
+            rng, FAMILIES[rng.integers(3)], rng.integers(2), size, dim, scale
+        )
+        for size in (m, n)
+    ))
+
+
+def warm_problem(mu, nu):
+    """The W2 cost of mu and nu, and the cost with nu's atoms reversed,
+    which the first cost's optimal tree starts."""
+    cost, other = sq_dists(mu.atoms, nu.atoms), sq_dists(mu.atoms, nu.atoms[::-1])
+    return mu.weights, nu.weights, cost, other
+
+
+def cold_then_warm(solve, problem):
+    """(plan bytes, tree, stats) of a cold solve and of a warm solve of
+    the second cost from the cold solve's tree."""
+    a, b, cost, other = problem
+    plan, tree, stats = solve(a, b, cost)
+    again, warm_tree, warm_stats = solve(a, b, other, start=tree)
+    return [
+        (plan.tobytes(), tree, astuple(stats)),
+        (again.tobytes(), warm_tree, astuple(warm_stats)),
+    ]
+
+
+def test_simplex_matches_the_neighbour_set_pivot_loop():
+    pivots = degenerate = 0
+    for seed in range(300):
+        problem = seeded_transport_problem(seed)
+        want = cold_then_warm(neighbour_set_simplex, problem)
+        assert cold_then_warm(transport._transport_simplex, problem) == want
+        pivots += sum(stats[0] for _, _, stats in want)
+        degenerate += sum(stats[1] for _, _, stats in want)
+    assert pivots > 8000 and degenerate > 500
+
+
+def random_tree_duals(seed):
+    """A random spanning tree (as neighbour sets) and a tied or scaled cost."""
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(1, 13, 2))
+    if seed % 2:
+        cost = rng.integers(0, 4, (m, n)).astype(float)
+    else:
+        cost = 10.0 ** int(rng.integers(-3, 4)) * rng.standard_normal((m, n))
+    adj = {k: set() for k in range(m + n)}
+    for i, j in random_spanning_tree(rng, m, n):
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    return m, n, adj, cost
+
+
+def same_duals(tree_duals, problem):
+    got, want = tree_duals(*problem), neighbour_set_duals(*problem)
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_tree_duals_match_the_neighbour_set_walk():
+    for seed in range(300):
+        assert same_duals(transport._tree_duals, random_tree_duals(seed))
+
+
+def mutated_transport(monkeypatch, old, new):
+    """A copy of the transport module with one piece of its source replaced."""
+    source = inspect.getsource(transport)
+    assert source.count(old) == 1
+    module = types.ModuleType("probframes.mutated_transport")
+    module.__package__ = "probframes"
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), transport.__file__, "exec"), module.__dict__)
+    return module
+
+
+def test_reference_comparisons_catch_mutated_walks(monkeypatch):
+    # cycle signs flipped: the solver pivots the wrong way round the
+    # cycle and runs out of pivots, or returns another plan
+    flipped = mutated_transport(
+        monkeypatch, "cycle[::2], cycle[1::2]", "cycle[1::2], cycle[::2]"
+    )
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        problem = warm_problem(random_measure(rng, 2, 3), random_measure(rng, 2, 4))
+        want = cold_then_warm(neighbour_set_simplex, problem)
+        try:
+            assert cold_then_warm(flipped._transport_simplex, problem) != want
+        except InternalInvariantError:
+            pass
+    # potentials rooted at column 0: the same reduced costs up to rounding,
+    # other bits
+    rerooted = mutated_transport(monkeypatch, "_walk(adj, 0)", "_walk(adj, m)")
+    assert not any(
+        same_duals(rerooted._tree_duals, random_tree_duals(seed)) for seed in range(5)
+    )
+
+
 def test_solve_stats_repeat():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -450,9 +673,11 @@ def test_coupling_dict_round_trip():
     assert np.array_equal(back.target.weights, c.target.weights)
 
 
-def degenerate_measure(draw, rng, size, dim, scale):
-    """Gaussian, lattice-tied or duplicated atoms; uniform or cubed weights."""
-    family = draw(st.sampled_from(["gauss", "lattice", "duplicates"]))
+FAMILIES = ("gauss", "lattice", "duplicates")
+
+
+def sampled_measure(rng, family, cubed, size, dim, scale):
+    """Gaussian, lattice-tied or duplicated atoms; cubed or uniform weights."""
     if family == "gauss":
         atoms = rng.standard_normal((size, dim))
     elif family == "lattice":
@@ -460,11 +685,17 @@ def degenerate_measure(draw, rng, size, dim, scale):
     else:
         k = max(1, size // 2)
         atoms = rng.standard_normal((k, dim))[rng.integers(0, k, size)]
-    if draw(st.booleans()):
+    if cubed:
         w = rng.uniform(0.0, 1.0, size) ** 3 + 1e-12
     else:
         w = np.ones(size)
     return DiscreteMeasure(scale * atoms, w / w.sum())
+
+
+def degenerate_measure(draw, rng, size, dim, scale):
+    """A sampled measure whose family and weights hypothesis draws."""
+    family = draw(st.sampled_from(FAMILIES))
+    return sampled_measure(rng, family, draw(st.booleans()), size, dim, scale)
 
 
 @st.composite
@@ -686,35 +917,61 @@ def test_search_on_degenerate_inputs(problem):
     assert all(later <= earlier + slack for earlier, later in zip(res, res[1:]))
 
 
+def test_search_stop_is_relative_to_the_problem_scale():
+    # coordinates scaled by s scale the residuals by s^2 and Wolfe's gap
+    # by s^4; with the gap measured against the product plan's squared
+    # residual the search ends at the same relative residual. Gaussian
+    # clouds: on tied lattice atoms the simplex's absolute pricing floor
+    # already blinds the oracle from s = 1e-2 down
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(2, 9, 2)
+        d, e = rng.integers(1, 4, 2)
+        w, v = rng.uniform(0.1, 1.0, m), rng.uniform(0.1, 1.0, n)
+        x, y = rng.standard_normal((m, d)), rng.standard_normal((n, e))
+        target = rng.standard_normal((d, e))
+
+        def search(s):
+            mu = DiscreteMeasure(s * x, w / w.sum())
+            nu = DiscreteMeasure(s * y, v / v.sum())
+            return optimize_mixed_operator(mu, nu, s * s * target)
+
+        unit = search(1.0)
+        for s in (1e-2, 1e3):
+            scaled = search(s).residual / s**2
+            assert abs(scaled - unit.residual) <= 1e-6 * unit.residuals[0]
+
+
+def near_product_search(seed, m, n, d, e):
+    """Uniform clouds at coordinate scale 1e3 and a target 1e-3 from the
+    product plan's mixed operator: the stop asks for a gap below tol
+    times that 1e-3 squared, while the oracle rounds relative to
+    operators of order 1e6."""
+    rng = np.random.default_rng(seed)
+    mu = uniform(1e3 * rng.standard_normal((m, d)))
+    nu = uniform(1e3 * rng.standard_normal((n, e)))
+    target = np.outer(mu.atoms.mean(axis=0), nu.atoms.mean(axis=0))
+    target += 1e-3 * rng.standard_normal((d, e))
+    return optimize_mixed_operator(mu, nu, target)
+
+
 def test_search_stops_where_rounding_keeps_the_gap_above_tol():
-    # one source atom admits one coupling; at this scale the oracle's
-    # copy of it leaves Wolfe's gap above tol, and the cycle that cannot
-    # decrease the norm ends the search instead of the cap
-    rng = np.random.default_rng(36)
-    mu = dirac(1e3 * rng.standard_normal(1))
-    nu = uniform(1e3 * rng.standard_normal((6, 1)))
-    search = optimize_mixed_operator(mu, nu, np.eye(1), iters=50)
-    assert search.gap > 1e-8
-    assert search.iterations == search.active_set == 1
     # here rounding keeps the gap above tol once all d d' + 1 = 3 places
     # of the active set are filled; a fourth point would be affinely
     # dependent on them
-    rng = np.random.default_rng(0)
-    mu = uniform(1e3 * rng.standard_normal((2, 1)))
-    nu = uniform(1e3 * rng.standard_normal((6, 2)))
-    search = optimize_mixed_operator(mu, nu, np.eye(1, 2))
-    assert search.gap > 1e-8
+    search = near_product_search(80, 3, 3, 1, 2)
+    assert search.gap > 1e-8 * search.residuals[0] ** 2
     assert search.iterations == search.active_set == 3
-    assert search.residual <= 1e-10
-    # lattice source atoms: at the second cycle the oracle returns a
-    # vertex already active, the affine system is singular, and the
-    # search keeps the point it had
-    rng = np.random.default_rng(0)
-    mu = uniform(1e3 * rng.integers(0, 3, (2, 2)).astype(float))
-    nu = uniform(1e3 * rng.standard_normal((4, 1)))
-    search = optimize_mixed_operator(mu, nu, np.array([[1.0], [0.0]]))
-    assert search.gap > 1e-8
+    # at the second cycle the affine system is singular, and the search
+    # keeps the point it had
+    search = near_product_search(2, 2, 2, 1, 2)
+    assert search.gap > 1e-8 * search.residuals[0] ** 2
     assert search.iterations == search.active_set == 2
+    # the third cycle cannot decrease the norm, and that ends the search
+    # instead of the cap
+    search = near_product_search(225, 3, 2, 2, 2)
+    assert search.gap > 1e-8 * search.residuals[0] ** 2
+    assert search.iterations == search.active_set == 3
 
 
 def test_search_block_of_the_cli_keeps_its_three_fields(capsys):

@@ -84,7 +84,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     files: dict[str, object] = {}
     groups: dict[str, list[str]] = {
         "measure": [], "coupling": [], "matrix": [], "bad": [], "subsample": [],
-        "high_dim": [], "interior": [],
+        "high_dim": [], "interior": [], "large": [],
     }
 
     def put(kind: str, name: str, doc):
@@ -143,6 +143,28 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         put("interior", f"interior_{n}x{d}_mu", _measure_doc(x, w))
         put("interior", f"interior_{n}x{d}_nu",
             _measure_doc(np.linalg.pinv(x.T @ plan), v / v.sum()))
+
+    # an 8x2 pair built like the interior pairs, with every coordinate at
+    # scale 1e3 (own generator): its mixed operators are of order 1e6
+    # against the identity target, so Wolfe's gap starts near 1e12
+    scaled_rng = np.random.default_rng(1000)
+    x = 1e3 * scaled_rng.standard_normal((8, 2))
+    w = _weights(scaled_rng, 8)
+    q = scaled_rng.uniform(0.5, 1.5, (8, 8))
+    plan = q * (w / q.sum(axis=1))[:, None]
+    v = plan.sum(axis=0)
+    put("interior", "scaled_8x2_mu", _measure_doc(x, w))
+    put("interior", "scaled_8x2_nu",
+        _measure_doc(1e6 * np.linalg.pinv(x.T @ plan), v / v.sum()))
+
+    # two 200-atom non-uniform 2-D clouds, each with a tenth of its atoms
+    # repeating others exactly, for one cold 200 x 200 simplex solve (own
+    # generator)
+    large_rng = np.random.default_rng(200)
+    for name in ("cloud_200_a", "cloud_200_b"):
+        atoms = large_rng.standard_normal((200, 2))
+        atoms[180:] = atoms[large_rng.choice(180, 20, replace=False)]
+        put("large", name, _measure_doc(atoms, _weights(large_rng, 200)))
 
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
@@ -249,6 +271,8 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["certify", gen("cloud_2d"), gen("small_2d"), "--iters", "300"],
         ["certify", gen("interior_8x2_mu"), gen("interior_8x2_nu")],
         ["certify", gen("interior_15x3_mu"), gen("interior_15x3_nu")],
+        ["certify", gen("scaled_8x2_mu"), gen("scaled_8x2_nu")],
+        ["w2", gen("cloud_200_a"), gen("cloud_200_b")],
         ["sample-dual", "shifted_gauss_100", "--samples", "12", "--a-n", "0.3"],
         ["sample-dual", "shifted_gauss_100", "--samples", "16"],
         ["sample-dual", "shifted_gauss_100", "--samples", "20"],
