@@ -41,6 +41,7 @@ from .numerics import as_matrix, sq_dists
 MARGINAL_TOL = 1e-10
 CERTIFICATE_TOL = 1e-9
 SEARCH_ITERS = 10000
+SEARCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -485,7 +486,6 @@ def optimize_mixed_operator(
     nu: DiscreteMeasure,
     target,
     iters: int = SEARCH_ITERS,
-    tol: float = 1e-8,
 ) -> MixedOperatorSearch:
     """Search the coupling polytope for a prescribed mixed frame operator.
 
@@ -500,8 +500,10 @@ def optimize_mixed_operator(
     active, and the returned plan is their convex combination, so it is
     nonnegative and exact on its marginals.
 
-    Stops when Wolfe's gap |p|^2 - min_v <p, z_v> is within tol times
-    the squared residual of the product plan (both scale alike with the
+    Stops when Wolfe's gap |p|^2 - min_v <p, z_v> is within SEARCH_TOL
+    times the largest squared norm of the active points and the new
+    vertex's point (Wolfe's relative test: the gap is computed from
+    these points and rounds with them, and both scale alike with the
     coordinates and the target), or after iters major cycles. It also
     stops at the last point when the affine system becomes singular or
     a major cycle fails to decrease |p|^2, which only rounding can
@@ -537,10 +539,11 @@ def optimize_mixed_operator(
         )
         z = point(vertex)
         gap = norm2 - float(p @ z)
-        # d d' + 2 points are affinely dependent: the system is singular
-        if gap <= tol * residuals[0] ** 2 or len(plans) > t_mat.size:
-            break
         candidates = np.vstack([points, z])
+        scale = float(np.einsum("ij,ij->i", candidates, candidates).max())
+        # d d' + 2 points are affinely dependent: the system is singular
+        if gap <= SEARCH_TOL * scale or len(plans) > t_mat.size:
+            break
         trial = _minor_cycles(candidates, np.append(weights, 0.0))
         if trial is None:
             break

@@ -942,36 +942,72 @@ def test_search_stop_is_relative_to_the_problem_scale():
             assert abs(scaled - unit.residual) <= 1e-6 * unit.residuals[0]
 
 
-def near_product_search(seed, m, n, d, e):
-    """Uniform clouds at coordinate scale 1e3 and a target 1e-3 from the
-    product plan's mixed operator: the stop asks for a gap below tol
-    times that 1e-3 squared, while the oracle rounds relative to
-    operators of order 1e6."""
-    rng = np.random.default_rng(seed)
-    mu = uniform(1e3 * rng.standard_normal((m, d)))
-    nu = uniform(1e3 * rng.standard_normal((n, e)))
-    target = np.outer(mu.atoms.mean(axis=0), nu.atoms.mean(axis=0))
-    target += 1e-3 * rng.standard_normal((d, e))
-    return optimize_mixed_operator(mu, nu, target)
+def rounding_stop_inputs():
+    """Search inputs at coordinate scale 1e3, each with the major cycles
+    it runs at the relative stop and with that stop switched off: one
+    source atom, which admits one coupling; a pair that fills all
+    d d' + 1 = 3 places of the active set; lattice source atoms whose
+    second vertex makes the affine system singular; and three uniform
+    pairs whose target lies 1e-3 from the product plan's operator."""
+    rng = np.random.default_rng(36)
+    mu = dirac(1e3 * rng.standard_normal(1))
+    yield mu, uniform(1e3 * rng.standard_normal((6, 1))), np.eye(1), 1, 1
+    rng = np.random.default_rng(0)
+    mu = uniform(1e3 * rng.standard_normal((2, 1)))
+    yield mu, uniform(1e3 * rng.standard_normal((6, 2))), np.eye(1, 2), 3, 3
+    rng = np.random.default_rng(0)
+    mu = uniform(1e3 * rng.integers(0, 3, (2, 2)).astype(float))
+    target = np.array([[1.0], [0.0]])
+    yield mu, uniform(1e3 * rng.standard_normal((4, 1))), target, 2, 2
+    for seed, m, n, d, e, cycles in [
+        (80, 3, 3, 1, 2, 3),
+        (2, 2, 2, 1, 2, 2),
+        (225, 3, 2, 2, 2, 3),
+    ]:
+        rng = np.random.default_rng(seed)
+        mu = uniform(1e3 * rng.standard_normal((m, d)))
+        nu = uniform(1e3 * rng.standard_normal((n, e)))
+        target = np.outer(mu.atoms.mean(axis=0), nu.atoms.mean(axis=0))
+        yield mu, nu, target + 1e-3 * rng.standard_normal((d, e)), 1, cycles
 
 
-def test_search_stops_where_rounding_keeps_the_gap_above_tol():
-    # here rounding keeps the gap above tol once all d d' + 1 = 3 places
-    # of the active set are filled; a fourth point would be affinely
-    # dependent on them
-    search = near_product_search(80, 3, 3, 1, 2)
-    assert search.gap > 1e-8 * search.residuals[0] ** 2
-    assert search.iterations == search.active_set == 3
-    # at the second cycle the affine system is singular, and the search
-    # keeps the point it had
-    search = near_product_search(2, 2, 2, 1, 2)
-    assert search.gap > 1e-8 * search.residuals[0] ** 2
-    assert search.iterations == search.active_set == 2
-    # the third cycle cannot decrease the norm, and that ends the search
-    # instead of the cap
-    search = near_product_search(225, 3, 2, 2, 2)
-    assert search.gap > 1e-8 * search.residuals[0] ** 2
-    assert search.iterations == search.active_set == 3
+def highs_relative_gap(search, target):
+    """Wolfe's gap at the search's point by HiGHS, over the square of a
+    bound on the norm of every point x^T P y - target."""
+    mu, nu = search.coupling.source, search.coupling.target
+    p = mixed_frame_operator(search.coupling) - target
+    lowest = highs_transport(mu.atoms @ p @ nu.atoms.T, mu.weights, nu.weights)
+    gap = float((p * p).sum()) - lowest + float((p * target).sum())
+    x, y = (np.linalg.norm(atoms, axis=1).max() for atoms in (mu.atoms, nu.atoms))
+    return gap / (x * y + np.linalg.norm(target)) ** 2
+
+
+def test_search_stops_where_rounding_keeps_the_gap_above_tol(monkeypatch):
+    # at this scale rounding keeps Wolfe's gap above an absolute 1e-8;
+    # the relative stop ends these searches
+    cases, stops = list(rounding_stop_inputs()), []
+    for mu, nu, target, cycles, _ in cases:
+        search = optimize_mixed_operator(mu, nu, target, iters=50)
+        assert search.gap > 1e-8
+        assert search.iterations == search.active_set == cycles
+        stops.append((search, target, transport.SEARCH_TOL))
+    assert stops[1][0].residual <= 1e-10
+    # with that stop off, rounding ends each search: by the cycle that
+    # cannot decrease the norm (the first and the last input), with all
+    # places full (the second and fourth: a further point would be
+    # affinely dependent on them) or at a singular affine system (the
+    # third and fifth)
+    monkeypatch.setattr(transport, "SEARCH_TOL", 0.0)
+    for mu, nu, target, _, cycles in cases:
+        search = optimize_mixed_operator(mu, nu, target, iters=50)
+        assert search.gap > 0.0
+        assert search.iterations == search.active_set == cycles
+        stops.append((search, target, 1e-15))
+    assert stops[len(cases) + 1][0].residual <= 1e-10
+    # HiGHS confirms each stopping point within its stop's tolerance,
+    # and optimal to rounding where rounding ended the search
+    for search, target, tol in stops:
+        assert highs_relative_gap(search, target) <= tol
 
 
 def test_search_block_of_the_cli_keeps_its_three_fields(capsys):
