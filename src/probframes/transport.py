@@ -2,11 +2,14 @@
 
 A coupling stores the full plan matrix against its two marginals and is
 validated on construction. The Wasserstein-2 solver is a transportation
-network simplex over the plan polytope: spanning-tree basis, pricing by
-most-negative reduced cost with Bland's rule as the anti-cycling
-fallback, dual potentials shifted on the subtree each pivot cuts off,
-and a complementary-slackness certificate at termination. The
-same solver doubles as the linear-minimization oracle of Wolfe's
+network simplex over the plan polytope: a spanning-tree basis kept as
+parent and depth lists rooted at row node 0, pricing by most-negative
+reduced cost with Bland's rule as the anti-cycling fallback, each
+pivot's cycle found by climbing to the lowest common ancestor, only the
+subtree the leaving arc cuts off re-hung, dual potentials shifted on
+the side of the cut that holds the entering column, and a
+complementary-slackness certificate at termination. The same solver
+doubles as the linear-minimization oracle of Wolfe's
 minimum-norm-point search for the coupling whose mixed frame operator
 is nearest a prescribed one.
 """
@@ -187,63 +190,74 @@ def _tree_flows(
     degree = [0] * (m + n)
     others = [0] * (m + n)
     for i, j in arcs:
+        j += m
         degree[i] += 1
-        degree[m + j] += 1
-        others[i] ^= m + j
-        others[m + j] ^= i
-    leaves = [k for k in range(m + n) if degree[k] == 1]
+        degree[j] += 1
+        others[i] ^= j
+        others[j] ^= i
+    leaves = [k for k, d in enumerate(degree) if d == 1]
+    pop, push = leaves.pop, leaves.append
     flows: dict[tuple[int, int], float] = {}
     while leaves:
-        u = leaves.pop()
+        u = pop()
         if not degree[u]:
             continue
-        w = others[u]
-        arc = (u, w - m) if u < m else (w, u - m)
-        flows[arc] = net[u] if u < m else -net[u]
-        net[w] += net[u]
-        degree[u] = 0
+        w, f = others[u], net[u]
+        if u < m:
+            flows[u, w - m] = f
+        else:
+            flows[w, u - m] = -f
+        net[w] += f
         degree[w] -= 1
         others[w] ^= u
         if degree[w] == 1:
-            leaves.append(w)
+            push(w)
     if len(flows) != m + n - 1 or min(flows.values()) < -1e-9:
         raise InternalInvariantError(
             "tree is not spanning with nonnegative flows for these marginals"
         )
     for arc, f in flows.items():
-        flows[arc] = max(f, 0.0)
+        if f < 0.0:
+            flows[arc] = 0.0
     return flows
 
 
-def _walk(
-    adj: dict[int, set[int]], root: int, goal: int | None = None
-) -> dict[int, int | None]:
-    """Depth-first walk of a tree from root: {node: parent}, root's parent
-    None, each node listed after its parent. Stops once goal is listed."""
-    parent: dict[int, int | None] = {root: None}
-    stack = [root]
-    while stack and goal not in parent:
-        k = stack.pop()
-        up = parent[k]
-        for w in adj[k]:
-            if w != up:
-                parent[w] = k
-                stack.append(w)
-    return parent
+def _arc(m: int, child: int, parent: int) -> tuple[int, int]:
+    """The cell (row, column) of the tree arc between child and parent."""
+    return (child, parent - m) if child < m else (parent, child - m)
 
 
-def _tree_duals(
-    m: int, n: int, adj: dict[int, set[int]], cost: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Potentials with u_i + v_j = cost_ij on every tree arc, u_0 = 0.
+def _hang(
+    m: int, n: int, flows: dict[tuple[int, int], float], cost: np.ndarray
+) -> tuple[list[list[int]], list[int], list[int], list[float], list[float]]:
+    """Hang a spanning tree from row node 0 in one depth-first walk.
 
-    Rows are nodes 0..m-1 and columns m..m+n-1 of one potential list;
-    each node's potential is its arc's cost less its parent's.
+    flows maps the tree's arcs (i, j) to their flows. Row nodes are
+    0..m-1 and columns m..m+n-1. Returns (nbrs, parent, depth, flow,
+    pot): each node's neighbour list, its parent (-1 at the root) and
+    depth, the flow on the arc to its parent, named by the child, and
+    its potential, the arc's cost less the parent's, so that u_i + v_j
+    = cost_ij on every arc with u_0 = 0. A potential depends only on the
+    path from the root, so any walk order gives the same bits.
     """
-    pot = [0.0] * (m + n)
-    for k, p in itertools.islice(_walk(adj, 0).items(), 1, None):
-        pot[k] = (cost[k, p - m] if k < m else cost[p, k - m]) - pot[p]
-    return np.array(pot[:m]), np.array(pot[m:])
+    nbrs: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in flows:
+        j += m
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    parent, depth = [-1] * (m + n), [0] * (m + n)
+    flow, pot = [0.0] * (m + n), [0.0] * (m + n)
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        up, below, here = parent[k], depth[k] + 1, pot[k]
+        for w in nbrs[k]:
+            if w != up:
+                arc = (w, k - m) if w < m else (k, w - m)
+                parent[w], depth[w], flow[w] = k, below, flows[arc]
+                pot[w] = cost.item(arc) - here
+                stack.append(w)
+    return nbrs, parent, depth, flow, pot
 
 
 def _pivot_budget(m: int, n: int) -> int:
@@ -274,31 +288,44 @@ def _transport_simplex(
     Pricing is most-negative reduced cost, falling back to Bland's rule
     (first negative cell in row-major order) whenever a run of
     degenerate pivots suggests stalling; Bland's rule cannot cycle, so
-    the fallback guarantees termination. Potentials are updated
-    incrementally on the subtree cut off by the leaving arc. The leaving
-    arc is the minimum-ratio cell with lexicographic tie-break, and the
-    final flows are recomputed from the marginals on the optimal tree.
+    the fallback guarantees termination. The leaving arc is the
+    minimum-ratio cell with lexicographic tie-break, and the final flows
+    are recomputed from the marginals on the optimal tree.
+
+    The tree is hung from row node 0 by _hang: every other node keeps its
+    parent, its depth and the flow on the arc to its parent, so an arc is
+    named by its child node. A pivot climbs from both ends of the
+    entering cell to their lowest common ancestor, which gives the cycle.
+    The leaving arc cuts off the subtree below its child; that subtree
+    alone is re-hung from the entering arc, reversing the parent path
+    between them, and walked for its new depths. The potentials of the
+    side holding the entering column are shifted, through a mask when
+    that is the root side. Every float operation is the one a walk of
+    the whole tree would make, so plans, trees and stats are bit for bit
+    those of the neighbour-set pivot loop kept as a reference in the
+    tests.
     """
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
     tree = _northwest_tree(a, b) if start is None else start
-    flows = _tree_flows(m, n, tree, a, b)
-    adj: dict[int, set[int]] = {k: set() for k in range(m + n)}
-    for (i, j) in tree:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
-    u, v = _tree_duals(m, n, adj, cost)
+    nbrs, parent, depth, flow, pot = _hang(m, n, _tree_flows(m, n, tree, a, b), cost)
+    pot = np.array(pot)
+    rows, cols = pot[:m, None], pot[None, m:]
+    # a shift by delta lowers row potentials and raises column ones
+    sign = np.ones(m + n)
+    sign[m:] = -1.0
+    side = np.empty(m + n, dtype=bool)
 
     reduced = np.empty_like(cost)
     stall_limit = 30 + (m + n) // 2
     stalled = 0
     degenerate = bland = 0
     for pivots in range(_pivot_budget(m, n)):
-        np.subtract(cost, u[:, None], out=reduced)
-        reduced -= v[None, :]
+        np.subtract(cost, rows, out=reduced)
+        reduced -= cols
         if stalled <= stall_limit:
             flat = int(reduced.argmin())
-            if reduced.flat[flat] >= -eps:
+            if reduced.item(flat) >= -eps:
                 break
         else:
             candidates = np.flatnonzero((reduced < -eps).ravel())
@@ -307,55 +334,81 @@ def _transport_simplex(
             flat = int(candidates[0])
             bland += 1
         ei, ej = divmod(flat, n)
-        delta = float(reduced[ei, ej])
+        delta = reduced.item(flat)
 
-        # the unique tree path from column node m + ej back to row node
-        # ei has odd length; its cells alternate signs, starting at -1 at
-        # both ends, next to the entering cell (ei, ej)
-        parent = _walk(adj, ei, goal=m + ej)
-        cycle: list[tuple[int, int]] = []
-        k = m + ej
-        while k != ei:
-            p = parent[k]
-            cycle.append((k, p - m) if k < m else (p, k - m))
-            k = p
+        # climb from both ends of the entering cell (ei, ej) to their
+        # lowest common ancestor. The tree path from column node m + ej to
+        # row node ei has odd length; its arcs, each named by its child
+        # node, alternate signs, starting at -1 at both ends
+        i, j = ei, m + ej
+        up_i: list[int] = []
+        up_j: list[int] = []
+        while i != j:
+            if depth[i] >= depth[j]:
+                up_i.append(i)
+                i = parent[i]
+            else:
+                up_j.append(j)
+                j = parent[j]
+        cycle = up_j + up_i[::-1]
         minus, plus = cycle[::2], cycle[1::2]
-        theta = min(flows[arc] for arc in minus)
-        leaving = min(arc for arc in minus if flows[arc] <= theta)
+        theta = min(map(flow.__getitem__, minus))
+        _, out = min((_arc(m, k, parent[k]), k) for k in minus if flow[k] <= theta)
         if theta <= 0.0:
             stalled += 1
             degenerate += 1
         else:
             stalled = 0
 
-        for arc in plus:
-            flows[arc] += theta
-        for arc in minus:
-            flows[arc] -= theta
-        flows[(ei, ej)] = theta
-        del flows[leaving]
-        adj[leaving[0]].discard(m + leaving[1])
-        adj[m + leaving[1]].discard(leaving[0])
+        for k in plus:
+            flow[k] += theta
+        for k in minus:
+            flow[k] -= theta
+        cut = parent[out]
+        nbrs[out].remove(cut)
+        nbrs[cut].remove(out)
+        nbrs[ei].append(m + ej)
+        nbrs[m + ej].append(ei)
 
-        # removing the leaving arc separates ei from m + ej; shift the
-        # potentials of the component holding m + ej by the old reduced
-        # cost so the entering arc becomes tight
-        for k in _walk(adj, m + ej):
-            if k < m:
-                u[k] -= delta
-            else:
-                v[k - m] += delta
-        adj[ei].add(m + ej)
-        adj[m + ej].add(ei)
+        # the leaving arc cuts off the subtree below out, which holds one
+        # end of the entering arc; re-hang it from the other end by
+        # reversing the path up to out, each arc's flow moving to the
+        # child that now names it, then walk it for the new depths
+        x, y = (ei, m + ej) if out in up_i else (m + ej, ei)
+        k, up, f = x, y, theta
+        while True:
+            nxt, fk = parent[k], flow[k]
+            parent[k], flow[k] = up, f
+            if k == out:
+                break
+            k, up, f = nxt, k, fk
+        depth[x] = depth[y] + 1
+        subtree, stack = [x], [x]
+        while stack:
+            k = stack.pop()
+            up, below = parent[k], depth[k] + 1
+            for w in nbrs[k]:
+                if w != up:
+                    depth[w] = below
+                    subtree.append(w)
+                    stack.append(w)
+
+        # shift the potentials of the side holding m + ej by the old
+        # reduced cost so the entering arc becomes tight: the cut subtree
+        # if it holds m + ej, else every node outside it
+        side.fill(x == ei)
+        side[subtree] = x != ei
+        np.subtract(pot, sign * delta, out=pot, where=side)
     else:
         raise InternalInvariantError("transportation simplex failed to terminate")
 
     # final flows recomputed from the marginals, so the plan is exact
-    flows = _tree_flows(m, n, flows, a, b)
+    arcs = [_arc(m, k, parent[k]) for k in range(1, m + n)]
+    flows = _tree_flows(m, n, arcs, a, b)
     plan = np.zeros((m, n))
     for (i, j), f in flows.items():
         plan[i, j] = f
-    _certify(plan, u, v, cost)
+    _certify(plan, pot[:m], pot[m:], cost)
     return plan, sorted(flows), SolveStats(pivots, degenerate, bland)
 
 

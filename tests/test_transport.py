@@ -340,10 +340,12 @@ def neighbour_set_duals(m, n, adj, cost):
     return u, v
 
 
-def neighbour_set_simplex(a, b, cost, start=None):
+def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     """The pivot loop with its own path and component searches over
-    neighbour sets, as the solver ran before it had one tree walk: the
-    reference for bit-identical plans, trees and stats."""
+    neighbour sets, as the solver ran before it kept a rooted tree: the
+    reference for bit-identical plans, trees and stats. pivots_seen, if
+    given, collects (cycle length, nodes cut off from row node 0, whether
+    the shifted component holds row node 0) for every pivot."""
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
     tree = transport._northwest_tree(a, b) if start is None else start
@@ -411,6 +413,9 @@ def neighbour_set_simplex(a, b, cost, start=None):
                 if w not in comp:
                     comp.add(w)
                     stack.append(w)
+        if pivots_seen is not None:
+            cut = m + n - len(comp) if 0 in comp else len(comp)
+            pivots_seen.append((len(path) - 1, cut, 0 in comp))
         for k in comp:
             if k < m:
                 u[k] -= delta
@@ -476,28 +481,68 @@ def test_simplex_matches_the_neighbour_set_pivot_loop():
 
 
 def random_tree_duals(seed):
-    """A random spanning tree (as neighbour sets) and a tied or scaled cost."""
+    """A random spanning tree (as an arc list) and a tied or scaled cost."""
     rng = np.random.default_rng(seed)
     m, n = (int(k) for k in rng.integers(1, 13, 2))
     if seed % 2:
         cost = rng.integers(0, 4, (m, n)).astype(float)
     else:
         cost = 10.0 ** int(rng.integers(-3, 4)) * rng.standard_normal((m, n))
+    return m, n, random_spanning_tree(rng, m, n), cost
+
+
+def same_duals(hang, problem):
+    """Whether the potentials of the set-up walk hang match the reference
+    walk bit for bit."""
+    m, n, arcs, cost = problem
+    pot = np.array(hang(m, n, dict.fromkeys(arcs, 0.0), cost)[-1])
     adj = {k: set() for k in range(m + n)}
-    for i, j in random_spanning_tree(rng, m, n):
+    for i, j in arcs:
         adj[i].add(m + j)
         adj[m + j].add(i)
-    return m, n, adj, cost
-
-
-def same_duals(tree_duals, problem):
-    got, want = tree_duals(*problem), neighbour_set_duals(*problem)
-    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    want = neighbour_set_duals(m, n, adj, cost)
+    return all(g.tobytes() == w.tobytes() for g, w in zip((pot[:m], pot[m:]), want))
 
 
 def test_tree_duals_match_the_neighbour_set_walk():
     for seed in range(300):
-        assert same_duals(transport._tree_duals, random_tree_duals(seed))
+        assert same_duals(transport._hang, random_tree_duals(seed))
+
+
+def test_deep_trees_match_the_neighbour_set_pivot_loop(monkeypatch):
+    pivots_seen = []
+    solves = []
+    solve = transport._transport_simplex
+
+    def recording(a, b, cost, start=None):
+        if start is not None:
+            solves.append((a, b, cost, start))
+        return solve(a, b, cost, start=start)
+
+    # every warm swap solve of the greedy search, each started from the
+    # incumbent's tree relabelled onto the trial's columns
+    monkeypatch.setattr(transport, "_transport_simplex", recording)
+    greedy_subsample(load_measure("shifted_gauss_100"), 12)
+    monkeypatch.undo()
+    assert len(solves) > 50
+    for a, b, cost, start in solves:
+        want = neighbour_set_simplex(a, b, cost, start, pivots_seen)
+        got = solve(a, b, cost, start=start)
+        assert (got[0].tobytes(), got[1], got[2]) == (want[0].tobytes(), *want[1:])
+    # cold solves from the northwest corner, and warm ones on a permuted cost
+    rng = np.random.default_rng(60)
+    for m, n in ((60, 150), (150, 60), (100, 100)):
+        mu, nu = random_measure(rng, 2, m), random_measure(rng, 2, n)
+        problem = warm_problem(mu, nu)
+        want = cold_then_warm(
+            lambda *args, **kw: neighbour_set_simplex(*args, **kw, pivots_seen=pivots_seen),
+            problem,
+        )
+        assert cold_then_warm(solve, problem) == want
+    cycles, cuts, root_side = zip(*pivots_seen)
+    assert max(cycles) > 40 and max(cuts) > 100
+    # the shifted side holds m + ej: both the cut subtree and the root side
+    assert 0 < sum(root_side) < len(root_side)
 
 
 def mutated_transport(monkeypatch, old, new):
@@ -528,9 +573,9 @@ def test_reference_comparisons_catch_mutated_walks(monkeypatch):
             pass
     # potentials rooted at column 0: the same reduced costs up to rounding,
     # other bits
-    rerooted = mutated_transport(monkeypatch, "_walk(adj, 0)", "_walk(adj, m)")
+    rerooted = mutated_transport(monkeypatch, "stack = [0]", "stack = [m]")
     assert not any(
-        same_duals(rerooted._tree_duals, random_tree_duals(seed)) for seed in range(5)
+        same_duals(rerooted._hang, random_tree_duals(seed)) for seed in range(5)
     )
 
 
