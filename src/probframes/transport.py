@@ -216,8 +216,10 @@ def _tree_flows(
         raise InternalInvariantError(
             "tree is not spanning with nonnegative flows for these marginals"
         )
+    # zero sub-roundoff negatives and -0.0 too, which max(f, 0.0) keeps
+    # and JSON prints as -0
     for arc, f in flows.items():
-        if f < 0.0:
+        if f <= 0.0:
             flows[arc] = 0.0
     return flows
 

@@ -19,6 +19,7 @@ from probframes.errors import (
     Unsupported,
 )
 from probframes.fixtures import load_coupling, load_measure, near_dirac_family
+from probframes.jsonio import dumps
 from probframes.measures import DiscreteMeasure, dirac, uniform
 from probframes.numerics import sq_dists
 from probframes.perturbation import greedy_subsample
@@ -313,6 +314,35 @@ def test_tree_flows_match_neighbour_sets():
         want = neighbour_set_flows(size, size + 1, adj, a, b)
         assert transport._tree_flows(size, size + 1, tree, a, b) == want
     assert checked > 200 and raised > 20
+
+
+def tied_lattice_problem(seed):
+    """Marginals and cost of two 1-D measures on the lattice 0..3, with
+    repeated atoms and equal or small-integer weights: many tied costs
+    and degenerate trees."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    for size in rng.integers(1, 13, 2):
+        atoms = rng.integers(0, 4, (size, 1)).astype(float)
+        w = rng.integers(1, 4, size).astype(float) if seed % 2 else np.ones(size)
+        sides.append((atoms, w / w.sum()))
+    (x, a), (y, b) = sides
+    return a, b, sq_dists(x, y)
+
+
+def test_plans_have_no_negative_zeros():
+    # a zero flow summed as -0.0 used to reach the plan and print as -0
+    for seed in range(400):
+        a, b, cost = tied_lattice_problem(seed)
+        plan, tree, _ = transport._transport_simplex(a, b, cost)
+        assert not np.signbit(plan).any()
+        again, _, _ = transport._transport_simplex(a, b, cost[::-1].copy(), start=tree)
+        assert not np.signbit(again).any()
+    mu = load_measure("shifted_gauss_100")
+    assert not np.signbit(solve_w2(mu, mu).plan.plan).any()
+    doubled = DiscreteMeasure(np.vstack([mu.atoms, mu.atoms]), np.tile(mu.weights, 2) / 2)
+    assert not np.signbit(solve_w2(doubled, mu).plan.plan).any()
+    assert "-" not in dumps(solve_w2(mu, mu).plan.plan.tolist())
 
 
 def neighbour_set_duals(m, n, adj, cost):
