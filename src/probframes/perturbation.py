@@ -298,13 +298,13 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
         np.minimum(min_dist, sq[nxt], out=min_dist)
     best = sorted(chosen)
 
-    def exact_cost(indices, start=None):
+    def exact_cost(cols, start=None):
         plan, tree, _ = _transport._transport_simplex(
-            eta.weights, sub_weights, sq[:, indices], start=start
+            eta.weights, sub_weights, cols, start=start
         )
-        return float((plan * sq[:, indices]).sum()), tree
+        return float((plan * cols).sum()), tree
 
-    best_cost, best_tree = exact_cost(best)
+    best_cost, best_tree = exact_cost(sq[:, best])
     neighbors = 5
     for _ in range(6):
         improved = False
@@ -318,13 +318,14 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                 if not math.isfinite(dist_to_out[cand]):
                     break
                 trial = sorted(set(best) - {out} | {int(cand)})
-                floor = float(eta.weights @ sq[:, trial].min(axis=1))
+                cols = sq[:, trial]
+                floor = float(eta.weights @ cols.min(axis=1))
                 if floor >= best_cost:
                     continue
                 column = {atom: k for k, atom in enumerate(trial)}
                 column[out] = column[int(cand)]
                 start = [(i, column[best[j]]) for i, j in best_tree]
-                cost, tree = exact_cost(trial, start=start)
+                cost, tree = exact_cost(cols, start=start)
                 if cost < best_cost * (1.0 - 1e-12):
                     best, best_cost, best_tree = trial, cost, tree
                     improved = True
