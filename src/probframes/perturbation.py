@@ -265,6 +265,41 @@ def matched_mixed_dual(
 # discrete sampling pipeline
 
 
+def _swap_lower_bound(a: np.ndarray, b: np.ndarray, cols: np.ndarray, v) -> float:
+    """Certified lower bound on the cost a swap trial's solve would report.
+
+    One round of coordinate ascent from the column potentials v, first
+    u = min_j (c_ij - v_j) and then v = min_i (c_ij - u_i), makes (u, v)
+    dual feasible up to rounding, so by weak LP duality a.u + b.v is at
+    most the trial's optimal cost. The margin subtracted from it covers
+    the rounding, so that fl(sum(plan * cols)) as the trial's solve
+    would report it is never below the returned value.
+    """
+    u = (cols - v).min(axis=1)
+    v = (cols - u[:, None]).min(axis=0)
+    m, n = cols.shape
+    # With eps = 2**-53, s = max C + max|u| + max|v|, d = |sum a - sum b|
+    # and r, q the row and column sums of the trial's plan P >= 0:
+    # - v_j is fl(c_ij - u_i) at the minimizing i, and fl(c_ij - u_i) >= v_j
+    #   at every other i, so u_i + v_j - c_ij <= eps |c_ij - u_i| <= eps s;
+    #   P, of mass about 1, gives sum P C >= r.u + q.v - eps s.
+    # - leaf elimination leaves each node's marginal off by the rounding
+    #   of its own sum, at most 2 deg eps times its mass, 2 (m + n) eps in
+    #   all. A flow zeroed as a rounding negative carries at most that
+    #   error and moves two marginals, and the last node takes the
+    #   imbalance d, so |r - a|_1 + |q - b|_1 <= d + 12 (m + n)^2 eps, each
+    #   unit of which shifts r.u + q.v by at most s.
+    # - fl(a @ u) + fl(b @ v) is within (m + n + 1) eps s of a.u + b.v.
+    # - fl(sum(P * C)) is within (mn + 1) eps max C of sum P C, whose
+    #   terms are nonnegative, and the subtraction below rounds once.
+    # The sum, at most (12 (m + n)^2 + mn + m + n + 4) eps s + d s, is
+    # below (16 (m + n)^2 eps + d) s.
+    scale = float(cols.max()) + float(np.abs(u).max()) + float(np.abs(v).max())
+    imbalance = abs(float(a.sum()) - float(b.sum()))
+    margin = (16 * (m + n) ** 2 * 2.0**-53 + imbalance) * scale
+    return float(a @ u) + float(b @ v) - margin
+
+
 def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     """Deterministic n-point uniform approximation of a discrete measure.
 
@@ -272,10 +307,16 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     first-improvement swap passes, each swap accepted only when it
     lowers the exact squared W2 distance to eta by more than a relative
     1e-12, so that a swap of equal cost is refused whatever the last
-    bits of the two solves. Candidates for a swap are the few nearest unchosen
-    atoms; candidates whose unconstrained quantization energy already
-    exceeds the incumbent W2 are pruned, since dropping the
-    uniform-capacity constraint only lowers the cost.
+    bits of the two solves. Candidates for a swap are the few nearest
+    unchosen atoms.
+
+    A trial is solved only when a certified lower bound on its cost
+    leaves room to pass that test. The bound is weak LP duality: the
+    incumbent's optimal potentials, with the candidate's column priced
+    against the row potentials, are made dual feasible for the trial by
+    one round of coordinate ascent (_swap_lower_bound). A trial whose
+    bound already reaches the acceptance threshold would be refused, so
+    skipping it changes neither the order of the search nor its result.
 
     Each trial solve is warm-started from the incumbent's optimal tree
     relabelled onto the trial's sorted columns: an arc to atom k moves
@@ -304,7 +345,14 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
         )
         return float((plan * cols).sum()), tree
 
-    best_cost, best_tree = exact_cost(sq[:, best])
+    def potentials(cols, tree):
+        """Row potentials as an array and column potentials as a list."""
+        pot = _transport._hang(total, n, dict.fromkeys(tree, 0.0), cols)[-1]
+        return np.array(pot[:total]), pot[total:]
+
+    cols = sq[:, best]
+    best_cost, best_tree = exact_cost(cols)
+    u, v_best = potentials(cols, best_tree)
     neighbors = 5
     for _ in range(6):
         improved = False
@@ -319,15 +367,19 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                     break
                 trial = sorted(set(best) - {out} | {int(cand)})
                 cols = sq[:, trial]
-                floor = float(eta.weights @ cols.min(axis=1))
-                if floor >= best_cost:
-                    continue
                 column = {atom: k for k, atom in enumerate(trial)}
-                column[out] = column[int(cand)]
+                k = column[out] = column[int(cand)]
+                v = np.empty(n)
+                v[[column[atom] for atom in best]] = v_best
+                v[k] = float((cols[:, k] - u).min())
+                threshold = best_cost * (1.0 - 1e-12)
+                if _swap_lower_bound(eta.weights, sub_weights, cols, v) >= threshold:
+                    continue
                 start = [(i, column[best[j]]) for i, j in best_tree]
                 cost, tree = exact_cost(cols, start=start)
-                if cost < best_cost * (1.0 - 1e-12):
+                if cost < threshold:
                     best, best_cost, best_tree = trial, cost, tree
+                    u, v_best = potentials(cols, tree)
                     improved = True
                     break
         if not improved:

@@ -310,7 +310,8 @@ def _transport_simplex(
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
     tree = _northwest_tree(a, b) if start is None else start
-    nbrs, parent, depth, flow, pot = _hang(m, n, _tree_flows(m, n, tree, a, b), cost)
+    flows = _tree_flows(m, n, tree, a, b)
+    nbrs, parent, depth, flow, pot = _hang(m, n, flows, cost)
     pot = np.array(pot)
     rows, cols = pot[:m, None], pot[None, m:]
     # a shift by delta lowers row potentials and raises column ones
@@ -404,9 +405,12 @@ def _transport_simplex(
     else:
         raise InternalInvariantError("transportation simplex failed to terminate")
 
-    # final flows recomputed from the marginals, so the plan is exact
-    arcs = [_arc(m, k, parent[k]) for k in range(1, m + n)]
-    flows = _tree_flows(m, n, arcs, a, b)
+    # final flows recomputed from the marginals, so the plan is exact;
+    # with no pivot the tree is the start's, and leaf elimination, which
+    # sees only degrees and neighbour XORs, gives the set-up flows again
+    if pivots:
+        arcs = [_arc(m, k, parent[k]) for k in range(1, m + n)]
+        flows = _tree_flows(m, n, arcs, a, b)
     plan = np.zeros((m, n))
     for (i, j), f in flows.items():
         plan[i, j] = f

@@ -15,6 +15,7 @@ from probframes.errors import (
 )
 from probframes.fixtures import load_measure
 from probframes.measures import DiscreteMeasure, dirac, uniform
+from probframes.numerics import sq_dists
 from probframes.perturbation import (
     discrete_dual_pipeline,
     greedy_subsample,
@@ -215,6 +216,136 @@ def test_greedy_subsample_does_not_depend_on_the_warm_start(monkeypatch):
     monkeypatch.setattr(transport, "_transport_simplex", cold)
     for (eta, n), chosen in zip(inputs, warm):
         assert np.array_equal(greedy_subsample(eta, n).atoms, chosen)
+
+
+def unscreened_greedy_subsample(eta, n):
+    """The swap search as it ran before its trials were screened by a
+    dual bound: every trial that clears the quantization floor is solved.
+    The reference for identical subsamples."""
+    atoms = eta.atoms
+    total = eta.size
+    if n >= total:
+        return uniform(atoms)
+    sq = sq_dists(atoms, atoms)
+    sub_weights = np.full(n, 1.0 / n)
+    chosen = [int(np.argmax(eta.weights))]
+    min_dist = sq[chosen[0]].copy()
+    while len(chosen) < n:
+        nxt = int(np.argmax(min_dist))
+        chosen.append(nxt)
+        np.minimum(min_dist, sq[nxt], out=min_dist)
+    best = sorted(chosen)
+
+    def exact_cost(cols, start=None):
+        plan, tree, _ = transport._transport_simplex(
+            eta.weights, sub_weights, cols, start=start
+        )
+        return float((plan * cols).sum()), tree
+
+    best_cost, best_tree = exact_cost(sq[:, best])
+    for _ in range(6):
+        improved = False
+        for pos in range(n):
+            current = set(best)
+            out = best[pos]
+            dist_to_out = sq[out].copy()
+            dist_to_out[list(current)] = np.inf
+            order = np.argsort(dist_to_out, kind="stable")[:5]
+            for cand in order:
+                if not math.isfinite(dist_to_out[cand]):
+                    break
+                trial = sorted(set(best) - {out} | {int(cand)})
+                cols = sq[:, trial]
+                floor = float(eta.weights @ cols.min(axis=1))
+                if floor >= best_cost:
+                    continue
+                column = {atom: k for k, atom in enumerate(trial)}
+                column[out] = column[int(cand)]
+                start = [(i, column[best[j]]) for i, j in best_tree]
+                cost, tree = exact_cost(cols, start=start)
+                if cost < best_cost * (1.0 - 1e-12):
+                    best, best_cost, best_tree = trial, cost, tree
+                    improved = True
+                    break
+        if not improved:
+            break
+    return uniform(atoms[best])
+
+
+def pipeline_clouds(count, seed=0):
+    """80-point clouds built like the fixture shifted_gauss_100: standard
+    normal points in the plane, shifted by e1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        points = rng.standard_normal((80, 2))
+        points[:, 0] += 1.0
+        yield uniform(points), 16
+
+
+def duplicated_atom_inputs():
+    """Clouds with a third of their atoms repeated, some several times,
+    under uniform or skewed weights."""
+    for seed in range(6):
+        rng = np.random.default_rng(900 + seed)
+        base = rng.standard_normal((30, 2)) * 10.0 ** (seed % 3 - 1)
+        atoms = np.vstack([base, base[rng.integers(0, 30, 15)]])
+        w = rng.uniform(0.5, 1.5, len(atoms)) if seed % 2 else np.ones(len(atoms))
+        yield DiscreteMeasure(atoms, w / w.sum()), int(rng.integers(4, 12))
+
+
+def test_greedy_subsample_matches_the_unscreened_loop():
+    inputs = [
+        *swap_search_inputs(),
+        *pipeline_clouds(20),
+        *duplicated_atom_inputs(),
+    ]
+    for eta, n in inputs:
+        want = unscreened_greedy_subsample(eta, n).atoms
+        assert greedy_subsample(eta, n).atoms.tobytes() == want.tobytes()
+
+
+def test_screened_swap_trials_cannot_be_accepted(monkeypatch):
+    # every trial's bound, each followed by its warm solve unless the
+    # bound screened it out
+    events = []
+    bound, solve = perturbation._swap_lower_bound, transport._transport_simplex
+
+    def bounding(a, b, cols, v):
+        lower = bound(a, b, cols, v)
+        events.append(("bound", a, b, cols, lower))
+        return lower
+
+    def solving(a, b, cost, start=None):
+        plan, tree, stats = solve(a, b, cost, start=start)
+        events.append(("solve", float((plan * cost).sum())))
+        return plan, tree, stats
+
+    monkeypatch.setattr(perturbation, "_swap_lower_bound", bounding)
+    monkeypatch.setattr(transport, "_transport_simplex", solving)
+    screened = 0
+    for eta, n in [*swap_search_inputs(), *pipeline_clouds(1, seed=1)]:
+        events.clear()
+        greedy_subsample(eta, n)
+        # replay the search: the first solve is the incumbent's cold one
+        (_, best_cost), rest = events[0], events[1:]
+        for k, event in enumerate(rest):
+            if event[0] != "bound":
+                continue
+            _, a, b, cols, lower = event
+            threshold = best_cost * (1.0 - 1e-12)
+            follows = rest[k + 1] if k + 1 < len(rest) else ("bound",)
+            if follows[0] == "solve":
+                cost = follows[1]
+                assert cost >= lower
+                if cost < threshold:
+                    best_cost = cost
+                continue
+            screened += 1
+            assert lower >= threshold
+            plan, _, _ = solve(a, b, cols)
+            cost = float((plan * cols).sum())
+            assert cost >= lower and cost >= threshold
+    assert screened > 1000
 
 
 def test_pipeline_on_cloud():
