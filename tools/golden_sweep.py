@@ -120,6 +120,16 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     cloud3[48:] = cloud3[dup_rng.choice(48, 12, replace=False)]
     put("subsample", "dup_cloud_3d", _measure_doc(cloud3, _weights(dup_rng, 60)))
 
+    # a 6x6 lattice at scale 100 with 7 of its atoms repeated, uniform and
+    # skewed: swaps of equal W2 abound, so ties in the warm-started swap
+    # solves are common (own generator)
+    lattice_rng = np.random.default_rng(36)
+    grid = 100.0 * np.array([(x, y) for x in range(6) for y in range(6)], dtype=float)
+    lattice = np.vstack([grid, grid[lattice_rng.choice(36, 7, replace=False)]])
+    put("subsample", "lattice_dup", _measure_doc(lattice, np.full(43, 1.0 / 43)))
+    put("subsample", "lattice_dup_skewed",
+        _measure_doc(lattice, _weights(lattice_rng, 43)))
+
     # 9-D clouds (own generator, so the inputs above do not move), and two
     # 9-D points whose squared coordinate gaps are 1 and eight times 2**-54:
     # summed coordinate by coordinate they give 1, summed in pairs 1 + 2**-52
@@ -278,6 +288,8 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["sample-dual", "shifted_gauss_100", "--samples", "20"],
         ["sample-dual", "shifted_gauss_100", "--samples", "30"],
         ["sample-dual", gen("dup_cloud_3d"), "--samples", "12"],
+        ["sample-dual", gen("lattice_dup"), "--samples", "8"],
+        ["sample-dual", gen("lattice_dup_skewed"), "--samples", "8"],
         ["sample-dual", gen("cloud_2d"), "--samples", "5", "--seed", "4"],
         ["pushforward", gen("cloud_2d"), "--offsets", gen("offsets_cloud")],
         ["pushforward", "axes_2d", "--offsets", gen("offsets_cloud")],
