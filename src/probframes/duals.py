@@ -287,7 +287,7 @@ def certificate_to_dict(cert: DualCertificate) -> dict:
     return {
         "classification": cert.classification,
         "deviation": cert.deviation,
-        "mixed_operator": [[float(v) for v in row] for row in cert.mixed_operator],
+        "mixed_operator": cert.mixed_operator.tolist(),
         "dual_lower_bound": cert.dual_lower_bound,
         "dual_upper_bound": cert.dual_upper_bound,
         "tol": cert.tol,

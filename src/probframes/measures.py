@@ -214,8 +214,8 @@ def mixture(measures, coefficients) -> DiscreteMeasure:
 def measure_to_dict(m: DiscreteMeasure) -> dict:
     return {
         "dim": m.dim,
-        "atoms": [[float(v) for v in row] for row in m.atoms],
-        "weights": [float(w) for w in m.weights],
+        "atoms": m.atoms.tolist(),
+        "weights": m.weights.tolist(),
     }
 
 

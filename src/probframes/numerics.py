@@ -75,11 +75,11 @@ def eig_sym(m) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def inverse(m, pivot_tol: float = PIVOT_RTOL) -> np.ndarray:
+def inverse(m) -> np.ndarray:
     """Invert via LU with partial pivoting.
 
     Raises Singular when any pivot of U falls below
-    pivot_tol * max|entry|, which is the package-wide notion of
+    PIVOT_RTOL * max|entry|, which is the package-wide notion of
     numerically singular.
     """
     a = as_square(m)
@@ -93,9 +93,9 @@ def inverse(m, pivot_tol: float = PIVOT_RTOL) -> np.ndarray:
     for k in range(n):
         p = k + int(np.abs(u[k:, k]).argmax())
         u[[k, p]] = u[[p, k]]
-        if abs(u[k, k]) < pivot_tol * scale:
+        if abs(u[k, k]) < PIVOT_RTOL * scale:
             raise Singular(
-                f"pivot {abs(u[k, k]):.3e} below threshold {pivot_tol * scale:.3e}"
+                f"pivot {abs(u[k, k]):.3e} below threshold {PIVOT_RTOL * scale:.3e}"
             )
         u[k + 1:, k:] -= np.outer(u[k + 1:, k] / u[k, k], u[k, k:])
     # Fortran order: redundancy_trace's einsum rounds a C-ordered inverse differently

@@ -84,6 +84,23 @@ def _bound_estimate(a: float, lam: float) -> float | None:
     return (math.sqrt(a) - math.sqrt(lam)) ** 2 if lam < a else None
 
 
+def _glued_certificate(
+    c: Coupling, dual: Coupling, bound: float | None
+) -> DualCertificate:
+    """Certificate of the glued coupling glue(c, dual).
+
+    bound is the deviation a theorem guarantees when its hypotheses hold,
+    None when they do not; a deviation at or above it is a bug.
+    """
+    cert = certify(glue(c, dual))
+    if bound is not None and not cert.deviation < bound:
+        raise InternalInvariantError(
+            f"glued deviation {cert.deviation:.17g} not below the guaranteed "
+            f"bound {bound:.17g} despite satisfied hypotheses"
+        )
+    return cert
+
+
 def perturbed_frame_bound(
     mu: DiscreteMeasure, eta: DiscreteMeasure, c: Coupling | None = None
 ) -> PerturbationReport:
@@ -145,14 +162,9 @@ def perturbed_approx_dual(
     cap = analyze(nu_dual.target).upper_bound
     close = lam < a
     product_ok = a * cap <= 1.0 + 1e-12
-    glued_cert = certify(glue(c, nu_dual))
-    if close and product_ok:
-        bound = math.sqrt(a * cap) + 1e-9
-        if not glued_cert.deviation < bound:
-            raise InternalInvariantError(
-                f"glued deviation {glued_cert.deviation:.17g} "
-                f"exceeds the guaranteed bound {bound:.17g}"
-            )
+    glued_cert = _glued_certificate(
+        c, nu_dual, math.sqrt(a * cap) + 1e-9 if close and product_ok else None
+    )
     return PerturbationReport(
         quadratic_cost=lam,
         lower_bound_estimate=_bound_estimate(a, lam),
@@ -202,12 +214,9 @@ def variant_certificates(
     displaced = float((c.plan * sq_dists(eta.atoms, mu.atoms @ a_inv.T)).sum())
     c_nu = analyze(nu).upper_bound
     inverse_ok = displaced < 1.0 / c_nu
-    glued_cert = certify(glue(c, base))
-    if (moment_ok or inverse_ok) and not glued_cert.deviation < 1.0 + 1e-9:
-        raise InternalInvariantError(
-            f"glued deviation {glued_cert.deviation:.17g} not below 1 "
-            "despite a satisfied hypothesis"
-        )
+    glued_cert = _glued_certificate(
+        c, base, 1.0 + 1e-9 if moment_ok or inverse_ok else None
+    )
     a = analyze(mu).lower_bound
     return PerturbationReport(
         quadratic_cost=lam,
@@ -318,16 +327,14 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     bound already reaches the acceptance threshold would be refused, so
     skipping it changes neither the order of the search nor its result.
 
-    Each trial solve is warm-started from the incumbent's optimal tree
-    relabelled onto the trial's sorted columns: an arc to atom k moves
-    to k's position in the trial, and the swapped-out atom's arcs move
-    to the candidate's. All subsample columns weigh 1/n, so the tree
-    keeps its flows and stays feasible, and only the candidate's column
-    has new costs.
+    A trial puts its candidate in the swapped-out atom's column and keeps
+    every other column where the incumbent has it. All subsample columns
+    weigh 1/n, so the incumbent's optimal tree is a feasible warm start
+    for the trial as it stands, and its potentials are the trial's but
+    for the candidate's column, the only one with new costs.
     """
     atoms = eta.atoms
-    total = eta.size
-    if n >= total:
+    if n >= eta.size:
         return uniform(atoms)
     sq = sq_dists(atoms, atoms)
     sub_weights = np.full(n, 1.0 / n)
@@ -339,52 +346,42 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
         np.minimum(min_dist, sq[nxt], out=min_dist)
     best = sorted(chosen)
 
-    def exact_cost(cols, start=None):
-        plan, tree, _ = _transport._transport_simplex(
+    def solve(cols, start=None):
+        plan, tree, u, v, _ = _transport._transport_simplex(
             eta.weights, sub_weights, cols, start=start
         )
-        return float((plan * cols).sum()), tree
+        return float((plan * cols).sum()), tree, u, v
 
-    def potentials(cols, tree):
-        """Row potentials as an array and column potentials as a list."""
-        pot = _transport._hang(total, n, dict.fromkeys(tree, 0.0), cols)[-1]
-        return np.array(pot[:total]), pot[total:]
-
-    cols = sq[:, best]
-    best_cost, best_tree = exact_cost(cols)
-    u, v_best = potentials(cols, best_tree)
+    best_cost, best_tree, u, v_best = solve(sq[:, best])
     neighbors = 5
     for _ in range(6):
         improved = False
         for pos in range(n):
-            current = set(best)
-            out = best[pos]
+            out = sorted(best)[pos]
+            k = best.index(out)
             dist_to_out = sq[out].copy()
-            dist_to_out[list(current)] = np.inf
+            dist_to_out[best] = np.inf
             order = np.argsort(dist_to_out, kind="stable")[:neighbors]
             for cand in order:
                 if not math.isfinite(dist_to_out[cand]):
                     break
-                trial = sorted(set(best) - {out} | {int(cand)})
+                trial = best.copy()
+                trial[k] = int(cand)
                 cols = sq[:, trial]
-                column = {atom: k for k, atom in enumerate(trial)}
-                k = column[out] = column[int(cand)]
-                v = np.empty(n)
-                v[[column[atom] for atom in best]] = v_best
+                v = v_best.copy()
                 v[k] = float((cols[:, k] - u).min())
                 threshold = best_cost * (1.0 - 1e-12)
                 if _swap_lower_bound(eta.weights, sub_weights, cols, v) >= threshold:
                     continue
-                start = [(i, column[best[j]]) for i, j in best_tree]
-                cost, tree = exact_cost(cols, start=start)
+                cost, tree, u_trial, v_trial = solve(cols, start=best_tree)
                 if cost < threshold:
                     best, best_cost, best_tree = trial, cost, tree
-                    u, v_best = potentials(cols, tree)
+                    u, v_best = u_trial, v_trial
                     improved = True
                     break
         if not improved:
             break
-    return uniform(atoms[best])
+    return uniform(atoms[sorted(best)])
 
 
 def discrete_dual_pipeline(
@@ -449,12 +446,9 @@ def discrete_dual_pipeline(
     c_n = analyze(nu_hat).upper_bound
     w2_ok = transport.w2 < math.sqrt(a_n)
     product_ok = a_n * c_n <= 1.0 + 1e-12
-    glued_cert = certify(glue(transport.plan, dual_coupling))
-    if w2_ok and product_ok and not glued_cert.deviation < 1.0:
-        raise InternalInvariantError(
-            f"pipeline deviation {glued_cert.deviation:.17g} not below 1 "
-            "despite satisfied hypotheses"
-        )
+    glued_cert = _glued_certificate(
+        transport.plan, dual_coupling, 1.0 if w2_ok and product_ok else None
+    )
     lam = transport.cost
     return (
         mu_hat,

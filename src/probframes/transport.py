@@ -279,14 +279,16 @@ class SolveStats:
 
 def _transport_simplex(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None
-) -> tuple[np.ndarray, list[tuple[int, int]], SolveStats]:
+) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray, np.ndarray, SolveStats]:
     """Minimize <cost, plan> over the transportation polytope.
 
-    Returns (plan, tree, stats): the plan certified optimal by _certify,
-    tree its optimal spanning tree and stats the pivot counts. A tree
-    optimal for one cost matrix is a feasible start for any cost matrix
-    with the same marginals; a start that does not span (a repeated arc
-    included) or needs negative flows raises InternalInvariantError.
+    Returns (plan, tree, u, v, stats): the plan certified optimal by
+    _certify, tree its optimal spanning tree, u and v the row and column
+    potentials the certificate checked, which are tight on the tree, and
+    stats the pivot counts. A tree optimal for one cost matrix is a
+    feasible start for any cost matrix with the same marginals; a start
+    that does not span (a repeated arc included) or needs negative flows
+    raises InternalInvariantError.
     Pricing is most-negative reduced cost, falling back to Bland's rule
     (first negative cell in row-major order) whenever a run of
     degenerate pivots suggests stalling; Bland's rule cannot cycle, so
@@ -414,8 +416,9 @@ def _transport_simplex(
     plan = np.zeros((m, n))
     for (i, j), f in flows.items():
         plan[i, j] = f
-    _certify(plan, pot[:m], pot[m:], cost)
-    return plan, sorted(flows), SolveStats(pivots, degenerate, bland)
+    u, v = pot[:m], pot[m:]
+    _certify(plan, u, v, cost)
+    return plan, sorted(flows), u, v, SolveStats(pivots, degenerate, bland)
 
 
 def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
@@ -434,7 +437,7 @@ def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
 def solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact Wasserstein-2 distance and an optimal plan."""
     d = sq_dists(mu.atoms, nu.atoms)
-    plan, _, _ = _transport_simplex(mu.weights, nu.weights, d)
+    plan = _transport_simplex(mu.weights, nu.weights, d)[0]
     cost = float((plan * d).sum())
     return TransportResult(
         cost=cost, w2=math.sqrt(max(cost, 0.0)), plan=Coupling(mu, nu, plan)
@@ -593,9 +596,9 @@ def optimize_mixed_operator(
     for iterations in range(1, iters + 1):
         norm2 = float(p @ p)
         residuals.append(math.sqrt(norm2))
-        vertex, tree, _ = _transport_simplex(
+        vertex, tree = _transport_simplex(
             mu.weights, nu.weights, x @ p.reshape(t_mat.shape) @ y.T, start=tree
-        )
+        )[:2]
         z = point(vertex)
         gap = norm2 - float(p @ z)
         candidates = np.vstack([points, z])
@@ -630,7 +633,7 @@ def coupling_to_dict(c: Coupling) -> dict:
     return {
         "source": measure_to_dict(c.source),
         "target": measure_to_dict(c.target),
-        "plan": [[float(v) for v in row] for row in c.plan],
+        "plan": c.plan.tolist(),
     }
 
 

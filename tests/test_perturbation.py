@@ -237,7 +237,7 @@ def unscreened_greedy_subsample(eta, n):
     best = sorted(chosen)
 
     def exact_cost(cols, start=None):
-        plan, tree, _ = transport._transport_simplex(
+        plan, tree, _, _, _ = transport._transport_simplex(
             eta.weights, sub_weights, cols, start=start
         )
         return float((plan * cols).sum()), tree
@@ -316,9 +316,9 @@ def test_screened_swap_trials_cannot_be_accepted(monkeypatch):
         return lower
 
     def solving(a, b, cost, start=None):
-        plan, tree, stats = solve(a, b, cost, start=start)
+        plan, tree, u, v, stats = solve(a, b, cost, start=start)
         events.append(("solve", float((plan * cost).sum())))
-        return plan, tree, stats
+        return plan, tree, u, v, stats
 
     monkeypatch.setattr(perturbation, "_swap_lower_bound", bounding)
     monkeypatch.setattr(transport, "_transport_simplex", solving)
@@ -342,10 +342,33 @@ def test_screened_swap_trials_cannot_be_accepted(monkeypatch):
                 continue
             screened += 1
             assert lower >= threshold
-            plan, _, _ = solve(a, b, cols)
+            plan = solve(a, b, cols)[0]
             cost = float((plan * cols).sum())
             assert cost >= lower and cost >= threshold
     assert screened > 1000
+
+
+def test_swap_bound_is_tight_at_each_solves_own_potentials(monkeypatch):
+    # the screen prices trials from the potentials the incumbent's solve
+    # certified; at a solve's own optimal potentials the bound must be its
+    # reported cost less the rounding margin, never more
+    solves = []
+    solve = transport._transport_simplex
+
+    def recording(a, b, cost, start=None):
+        result = solve(a, b, cost, start=start)
+        solves.append((a, b, cost, result))
+        return result
+
+    monkeypatch.setattr(transport, "_transport_simplex", recording)
+    for eta, n in [*swap_search_inputs(), *pipeline_clouds(20)]:
+        greedy_subsample(eta, n)
+    assert len(solves) > 5000
+    for a, b, cost, (plan, _, _, v, _) in solves:
+        reported = float((plan * cost).sum())
+        lower = perturbation._swap_lower_bound(a, b, cost, v)
+        assert lower <= reported
+        assert reported - lower <= 1e-6 * max(reported, float(cost.max()))
 
 
 def test_pipeline_on_cloud():
@@ -432,7 +455,7 @@ def test_violated_glue_bound_is_internal_error(monkeypatch):
     mu = load_measure("axes_2d")
     _, dual_coupling = canonical_dual(mu)
     inflate_certificates(monkeypatch)
-    with pytest.raises(InternalInvariantError, match="guaranteed bound"):
+    with pytest.raises(InternalInvariantError, match="not below the guaranteed bound"):
         perturbed_approx_dual(mu, dual_coupling, mu, solve_w2(mu, mu).plan)
 
 
@@ -440,11 +463,11 @@ def test_violated_variant_bound_is_internal_error(monkeypatch):
     mu = load_measure("axes_2d")
     _, dual_coupling = canonical_dual(mu)
     inflate_certificates(monkeypatch)
-    with pytest.raises(InternalInvariantError, match="satisfied hypothesis"):
+    with pytest.raises(InternalInvariantError, match="not below the guaranteed bound"):
         variant_certificates(mu, dual_coupling, mu, solve_w2(mu, mu).plan)
 
 
 def test_violated_pipeline_bound_is_internal_error(monkeypatch):
     inflate_certificates(monkeypatch)
-    with pytest.raises(InternalInvariantError, match="satisfied hypotheses"):
+    with pytest.raises(InternalInvariantError, match="not below the guaranteed bound"):
         discrete_dual_pipeline(load_measure("axes_2d"), 2)

@@ -212,8 +212,8 @@ def test_failed_certificate_stops_oracle_and_swap_solves(failing_certificate):
 def test_simplex_rejects_start_trees_that_do_not_fit():
     a, b = np.array([0.2, 0.8]), np.array([0.7, 0.3])
     cost = np.array([[0.0, 1.0], [2.0, 0.5]])
-    plan, tree, _ = transport._transport_simplex(a, b, cost)
-    again, same, _ = transport._transport_simplex(a, b, cost + 1.0, start=tree)
+    plan, tree, _, _, _ = transport._transport_simplex(a, b, cost)
+    again, same, _, _, _ = transport._transport_simplex(a, b, cost + 1.0, start=tree)
     assert np.array_equal(again, plan) and same == tree
     # two arcs do not span; four arcs close a cycle; a spanning tree
     # with one arc listed twice is no tree either
@@ -307,7 +307,7 @@ def test_tree_flows_match_neighbour_sets():
         a = np.full(size, 1.0 / size)
         b = np.full(size + 1, 1.0 / (size + 1))
         cost = rng.integers(0, 3, (size, size + 1)).astype(float)
-        _, tree, _ = transport._transport_simplex(a, b, cost)
+        tree = transport._transport_simplex(a, b, cost)[1]
         adj = {k: set() for k in range(2 * size + 1)}
         for i, j in tree:
             adj[i].add(size + j)
@@ -335,9 +335,9 @@ def test_plans_have_no_negative_zeros():
     # a zero flow summed as -0.0 used to reach the plan and print as -0
     for seed in range(400):
         a, b, cost = tied_lattice_problem(seed)
-        plan, tree, _ = transport._transport_simplex(a, b, cost)
+        plan, tree, _, _, _ = transport._transport_simplex(a, b, cost)
         assert not np.signbit(plan).any()
-        warm, _, _ = transport._transport_simplex(a, b, cost[::-1].copy(), start=tree)
+        warm = transport._transport_simplex(a, b, cost[::-1].copy(), start=tree)[0]
         assert not np.signbit(warm).any()
     mu = load_measure("shifted_gauss_100")
     plan = solve_w2(mu, mu).plan.plan
@@ -374,9 +374,10 @@ def neighbour_set_duals(m, n, adj, cost):
 def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     """The pivot loop with its own path and component searches over
     neighbour sets, as the solver ran before it kept a rooted tree: the
-    reference for bit-identical plans, trees and stats. pivots_seen, if
-    given, collects (cycle length, nodes cut off from row node 0, whether
-    the shifted component holds row node 0) for every pivot."""
+    reference for bit-identical plans, trees, potentials and stats.
+    pivots_seen, if given, collects (cycle length, nodes cut off from row
+    node 0, whether the shifted component holds row node 0) for every
+    pivot."""
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
     tree = transport._northwest_tree(a, b) if start is None else start
@@ -461,7 +462,7 @@ def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     for (i, j), f in flows.items():
         plan[i, j] = f
     transport._certify(plan, u, v, cost)
-    return plan, sorted(flows), transport.SolveStats(pivots, degenerate, bland)
+    return plan, sorted(flows), u, v, transport.SolveStats(pivots, degenerate, bland)
 
 
 def seeded_transport_problem(seed):
@@ -488,16 +489,18 @@ def warm_problem(mu, nu):
     return mu.weights, nu.weights, cost, other
 
 
+def result_bytes(result):
+    """(plan bytes, tree, u bytes, v bytes, stats) of a simplex solve."""
+    plan, tree, u, v, stats = result
+    return plan.tobytes(), tree, u.tobytes(), v.tobytes(), astuple(stats)
+
+
 def cold_then_warm(solve, problem):
-    """(plan bytes, tree, stats) of a cold solve and of a warm solve of
-    the second cost from the cold solve's tree."""
+    """result_bytes of a cold solve and of a warm solve of the second
+    cost from the cold solve's tree."""
     a, b, cost, other = problem
-    plan, tree, stats = solve(a, b, cost)
-    again, warm_tree, warm_stats = solve(a, b, other, start=tree)
-    return [
-        (plan.tobytes(), tree, astuple(stats)),
-        (again.tobytes(), warm_tree, astuple(warm_stats)),
-    ]
+    cold = solve(a, b, cost)
+    return [result_bytes(cold), result_bytes(solve(a, b, other, start=cold[1]))]
 
 
 def test_simplex_matches_the_neighbour_set_pivot_loop():
@@ -506,8 +509,8 @@ def test_simplex_matches_the_neighbour_set_pivot_loop():
         problem = seeded_transport_problem(seed)
         want = cold_then_warm(neighbour_set_simplex, problem)
         assert cold_then_warm(transport._transport_simplex, problem) == want
-        pivots += sum(stats[0] for _, _, stats in want)
-        degenerate += sum(stats[1] for _, _, stats in want)
+        pivots += sum(stats[0] for *_, stats in want)
+        degenerate += sum(stats[1] for *_, stats in want)
     assert pivots > 8000 and degenerate > 500
 
 
@@ -551,15 +554,14 @@ def test_deep_trees_match_the_neighbour_set_pivot_loop(monkeypatch):
         return solve(a, b, cost, start=start)
 
     # every warm swap solve of the greedy search, each started from the
-    # incumbent's tree relabelled onto the trial's columns
+    # incumbent's tree, whose columns the trial keeps
     monkeypatch.setattr(transport, "_transport_simplex", recording)
     greedy_subsample(load_measure("shifted_gauss_100"), 12)
     monkeypatch.undo()
     assert len(solves) > 50
     for a, b, cost, start in solves:
         want = neighbour_set_simplex(a, b, cost, start, pivots_seen)
-        got = solve(a, b, cost, start=start)
-        assert (got[0].tobytes(), got[1], got[2]) == (want[0].tobytes(), *want[1:])
+        assert result_bytes(solve(a, b, cost, start=start)) == result_bytes(want)
     # cold solves, and warm ones with the target atoms reversed
     rng = np.random.default_rng(60)
     for m, n in ((60, 150), (150, 60), (100, 100)):
@@ -616,20 +618,20 @@ def test_solve_stats_repeat():
         cost = sq_dists(mu.atoms, nu.atoms)
         first = transport._transport_simplex(mu.weights, nu.weights, cost)
         again = transport._transport_simplex(mu.weights, nu.weights, cost)
-        assert first[2] == again[2]
-        assert 0 <= first[2].degenerate_pivots <= first[2].pivots
-        assert 0 <= first[2].bland_pivots <= first[2].pivots
+        assert first[4] == again[4]
+        assert 0 <= first[4].degenerate_pivots <= first[4].pivots
+        assert 0 <= first[4].bland_pivots <= first[4].pivots
         warm = transport._transport_simplex(
             mu.weights, nu.weights, cost[::-1, ::-1].copy(), start=first[1]
         )
-        assert warm[2] == transport._transport_simplex(
+        assert warm[4] == transport._transport_simplex(
             mu.weights, nu.weights, cost[::-1, ::-1].copy(), start=first[1]
-        )[2]
+        )[4]
     # an optimal start needs no pivot, and the flows of its set-up are
     # the final flows of the cold solve
-    plan, tree, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
+    plan, tree, _, _, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
     restart = transport._transport_simplex(mu.weights, nu.weights, cost, start=tree)
-    assert restart[2] == transport.SolveStats(0, 0, 0)
+    assert restart[4] == transport.SolveStats(0, 0, 0)
     assert restart[0].tobytes() == plan.tobytes() and restart[1] == tree
 
 
@@ -642,10 +644,10 @@ def test_greedy_swap_solves_start_near_optimal(monkeypatch):
         warm_pivots = []
 
         def counting(a, b, cost, start=None):
-            plan, tree, stats = solve(a, b, cost, start=start)
+            plan, tree, u, v, stats = solve(a, b, cost, start=start)
             if start is not None:
                 warm_pivots.append(stats.pivots)
-            return plan, tree, stats
+            return plan, tree, u, v, stats
 
         monkeypatch.setattr(transport, "_transport_simplex", counting)
         greedy_subsample(eta, n)
@@ -888,7 +890,7 @@ def assert_exactly_optimal(a, b, cost, plan, tree):
 def test_simplex_trees_pass_the_rational_oracle(problem):
     mu, nu = problem
     cost = sq_dists(mu.atoms, nu.atoms)
-    plan, tree, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
+    plan, tree, _, _, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
     assert_exactly_optimal(mu.weights, nu.weights, cost, plan, tree)
 
 
@@ -896,7 +898,7 @@ def test_rational_oracle_catches_a_suboptimal_tree():
     rng = np.random.default_rng(21)
     mu, nu = random_measure(rng, 2, 6), random_measure(rng, 2, 7)
     cost = sq_dists(mu.atoms, nu.atoms)
-    plan, tree, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
+    plan, tree, _, _, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
     assert stats.pivots > stats.degenerate_pivots
     planted = transport._northwest_tree(mu.weights, nu.weights)
     assert sorted(planted) != tree
@@ -951,9 +953,9 @@ def test_search_vertices_pass_the_rational_oracle(monkeypatch):
     solve = transport._transport_simplex
 
     def recording(a, b, cost, start=None):
-        plan, tree, stats = solve(a, b, cost, start=start)
+        plan, tree, u, v, stats = solve(a, b, cost, start=start)
         solves.append((a, b, cost, plan, tree))
-        return plan, tree, stats
+        return plan, tree, u, v, stats
 
     monkeypatch.setattr(transport, "_transport_simplex", recording)
     mu, nu = interior_pair(8, 2)
