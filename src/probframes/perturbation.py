@@ -11,7 +11,7 @@ manufactures an approximate dual for a measure from a modest subsample.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,18 +63,14 @@ class PerturbationReport:
 
     @property
     def all_checked_hold(self) -> bool:
-        values = [
-            self.flags.quadratic_closeness,
-            self.flags.product_bound,
-            self.flags.moment_bound,
-            self.flags.inverse_closeness,
-        ]
+        values = (getattr(self.flags, f.name) for f in fields(self.flags))
         checked = [v for v in values if v is not None]
         return bool(checked) and all(checked)
 
 
-def _expect_marginals(c: Coupling, left: DiscreteMeasure, right: DiscreteMeasure):
-    for got, want, side in ((c.source, left, "source"), (c.target, right, "target")):
+def _expect_marginals(c: Coupling, *sides: DiscreteMeasure):
+    """Raise unless c's source, and its target when given, are these measures."""
+    for got, want, side in zip((c.source, c.target), sides, ("source", "target")):
         if not same_measure(got, want):
             raise MarginalMismatch(f"coupling {side} is not the expected measure")
 
@@ -155,7 +151,7 @@ def perturbed_approx_dual(
         raise NotExactDual(
             f"base coupling certifies as {base.classification}, not exact"
         )
-    _expect_marginals(nu_dual, mu, nu_dual.target)
+    _expect_marginals(nu_dual, mu)
     _expect_marginals(c, eta, mu)
     lam = transport_cost(c)
     a = analyze(mu).lower_bound
@@ -201,7 +197,7 @@ def variant_certificates(
     whenever the base mixed operator inverts. Either hypothesis forces
     the glued deviation below 1.
     """
-    _expect_marginals(base, mu, base.target)
+    _expect_marginals(base, mu)
     _expect_marginals(c, eta, mu)
     base_cert = certify(base)
     a_inv = _require_inverse(base_cert.mixed_operator)
@@ -253,7 +249,7 @@ def matched_mixed_dual(
         raise NotApproximate(
             f"base deviation {base_cert.deviation:.6g} is not below 1"
         )
-    _expect_marginals(base, mu, base.target)
+    _expect_marginals(base, mu)
     _expect_marginals(c, eta, mu)
     lam = transport_cost(c)
     a_mu = analyze(mu).lower_bound
@@ -430,11 +426,7 @@ def discrete_dual_pipeline(
         reference, reference_report = eta, analyze(eta)
         if not reference_report.is_frame:
             raise EtaNotFrame("input measure is not a frame")
-        already_uniform = (
-            eta.size == n_samples
-            and float(np.abs(eta.weights - 1.0 / n_samples).max()) <= 1e-12
-        )
-        mu_hat = eta if already_uniform else greedy_subsample(eta, n_samples)
+        mu_hat = greedy_subsample(eta, n_samples)
     mu_report = analyze(mu_hat)
     if not mu_report.is_frame:
         raise EtaNotFrame("subsample does not span the ambient space")

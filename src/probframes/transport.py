@@ -172,19 +172,19 @@ def _northwest_tree(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
     return basis
 
 
-def _tree_flows(
-    m: int, n: int, arcs, a: np.ndarray, b: np.ndarray
-) -> dict[tuple[int, int], float]:
-    """Unique arc flows on a spanning tree supporting the marginals.
+def _tree_flows(m: int, n: int, arcs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The plan of the unique arc flows on a spanning tree supporting the
+    marginals, zero off the tree.
 
-    Computed by leaf elimination directly from a and b, so the returned
-    flows carry no pivot roundoff; sub-roundoff negatives are zeroed.
+    Computed by leaf elimination directly from a and b, so the flows
+    carry no pivot roundoff; sub-roundoff negatives are zeroed.
     Row nodes are 0..m-1, column nodes m..m+n-1. Each node keeps only
     its degree and the XOR of its neighbours, so a leaf's one remaining
     neighbour is that XOR; leaves are eliminated from the same stack in
     the same order as with explicit neighbour sets, and the flows are
-    summed in that order. An arc listed twice closes a cycle that is
-    never eliminated, so it is rejected as not spanning.
+    summed in that order. Neither depends on the order of the arcs. An
+    arc listed twice closes a cycle that is never eliminated, so it is
+    rejected as not spanning.
     """
     net = np.concatenate([a, -b]).tolist()
     degree = [0] * (m + n)
@@ -197,31 +197,31 @@ def _tree_flows(
         others[j] ^= i
     leaves = [k for k, d in enumerate(degree) if d == 1]
     pop, push = leaves.pop, leaves.append
-    flows: dict[tuple[int, int], float] = {}
+    plan = np.zeros((m, n))
+    placed = 0
     while leaves:
         u = pop()
         if not degree[u]:
             continue
         w, f = others[u], net[u]
         if u < m:
-            flows[u, w - m] = f
+            plan[u, w - m] = f
         else:
-            flows[w, u - m] = -f
+            plan[w, u - m] = -f
+        placed += 1
         net[w] += f
         degree[w] -= 1
         others[w] ^= u
         if degree[w] == 1:
             push(w)
-    if len(flows) != m + n - 1 or min(flows.values()) < -1e-9:
+    if placed != m + n - 1 or plan.min() < -1e-9:
         raise InternalInvariantError(
             "tree is not spanning with nonnegative flows for these marginals"
         )
     # zero sub-roundoff negatives and -0.0 too, which max(f, 0.0) keeps
     # and JSON prints as -0
-    for arc, f in flows.items():
-        if f <= 0.0:
-            flows[arc] = 0.0
-    return flows
+    plan[plan <= 0.0] = 0.0
+    return plan
 
 
 def _arc(m: int, child: int, parent: int) -> tuple[int, int]:
@@ -230,20 +230,21 @@ def _arc(m: int, child: int, parent: int) -> tuple[int, int]:
 
 
 def _hang(
-    m: int, n: int, flows: dict[tuple[int, int], float], cost: np.ndarray
+    m: int, n: int, arcs, plan: np.ndarray, cost: np.ndarray
 ) -> tuple[list[list[int]], list[int], list[int], list[float], list[float]]:
     """Hang a spanning tree from row node 0 in one depth-first walk.
 
-    flows maps the tree's arcs (i, j) to their flows. Row nodes are
-    0..m-1 and columns m..m+n-1. Returns (nbrs, parent, depth, flow,
-    pot): each node's neighbour list, its parent (-1 at the root) and
-    depth, the flow on the arc to its parent, named by the child, and
-    its potential, the arc's cost less the parent's, so that u_i + v_j
-    = cost_ij on every arc with u_0 = 0. A potential depends only on the
-    path from the root, so any walk order gives the same bits.
+    arcs lists the tree's cells (i, j), in any order, and plan holds
+    their flows. Row nodes are 0..m-1 and columns m..m+n-1. Returns
+    (nbrs, parent, depth, flow, pot): each node's neighbour list, its
+    parent (-1 at the root) and depth, the flow on the arc to its parent,
+    named by the child, and its potential, the arc's cost less the
+    parent's, so that u_i + v_j = cost_ij on every arc with u_0 = 0. A
+    potential depends only on the path from the root, so any walk order,
+    and so any order of the arcs, gives the same bits.
     """
     nbrs: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in flows:
+    for i, j in arcs:
         j += m
         nbrs[i].append(j)
         nbrs[j].append(i)
@@ -256,7 +257,7 @@ def _hang(
         for w in nbrs[k]:
             if w != up:
                 arc = (w, k - m) if w < m else (k, w - m)
-                parent[w], depth[w], flow[w] = k, below, flows[arc]
+                parent[w], depth[w], flow[w] = k, below, plan.item(arc)
                 pot[w] = cost.item(arc) - here
                 stack.append(w)
     return nbrs, parent, depth, flow, pot
@@ -283,18 +284,21 @@ def _transport_simplex(
     """Minimize <cost, plan> over the transportation polytope.
 
     Returns (plan, tree, u, v, stats): the plan certified optimal by
-    _certify, tree its optimal spanning tree, u and v the row and column
-    potentials the certificate checked, which are tight on the tree, and
-    stats the pivot counts. A tree optimal for one cost matrix is a
-    feasible start for any cost matrix with the same marginals; a start
-    that does not span (a repeated arc included) or needs negative flows
-    raises InternalInvariantError.
+    _certify, tree its optimal spanning tree as a list of cells ordered by
+    child node (the start itself when no pivot was made), u and v the row
+    and column potentials the certificate checked, which are tight on the
+    tree, and stats the pivot counts. A tree optimal for one cost matrix
+    is a feasible start for any cost matrix with the same marginals, in
+    any arc order; a start that does not span (a repeated arc included)
+    or needs negative flows raises InternalInvariantError.
     Pricing is most-negative reduced cost, falling back to Bland's rule
     (first negative cell in row-major order) whenever a run of
     degenerate pivots suggests stalling; Bland's rule cannot cycle, so
     the fallback guarantees termination. The leaving arc is the
     minimum-ratio cell with lexicographic tie-break, and the final flows
-    are recomputed from the marginals on the optimal tree.
+    are recomputed from the marginals on the optimal tree. The plan
+    matrix is the one store of flows outside the pivot loop: leaf
+    elimination writes it, and the set-up walk reads it.
 
     The tree is hung from row node 0 by _hang: every other node keeps its
     parent, its depth and the flow on the arc to its parent, so an arc is
@@ -312,8 +316,8 @@ def _transport_simplex(
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
     tree = _northwest_tree(a, b) if start is None else start
-    flows = _tree_flows(m, n, tree, a, b)
-    nbrs, parent, depth, flow, pot = _hang(m, n, flows, cost)
+    plan = _tree_flows(m, n, tree, a, b)
+    nbrs, parent, depth, flow, pot = _hang(m, n, tree, plan, cost)
     pot = np.array(pot)
     rows, cols = pot[:m, None], pot[None, m:]
     # a shift by delta lowers row potentials and raises column ones
@@ -409,16 +413,13 @@ def _transport_simplex(
 
     # final flows recomputed from the marginals, so the plan is exact;
     # with no pivot the tree is the start's, and leaf elimination, which
-    # sees only degrees and neighbour XORs, gives the set-up flows again
+    # sees only degrees and neighbour XORs, gives the set-up plan again
     if pivots:
-        arcs = [_arc(m, k, parent[k]) for k in range(1, m + n)]
-        flows = _tree_flows(m, n, arcs, a, b)
-    plan = np.zeros((m, n))
-    for (i, j), f in flows.items():
-        plan[i, j] = f
+        tree = [_arc(m, k, parent[k]) for k in range(1, m + n)]
+        plan = _tree_flows(m, n, tree, a, b)
     u, v = pot[:m], pot[m:]
     _certify(plan, u, v, cost)
-    return plan, sorted(flows), u, v, SolveStats(pivots, degenerate, bland)
+    return plan, tree, u, v, SolveStats(pivots, degenerate, bland)
 
 
 def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):

@@ -399,6 +399,18 @@ def test_pipeline_uniform_input_shortcut():
     assert report.quadratic_cost == 0.0
 
 
+def test_pipeline_subsample_of_a_nearly_uniform_input_is_uniform():
+    # n atoms give the uniform subsample, whatever their weights
+    third = 1.0 / 3.0
+    eta = DiscreteMeasure(
+        [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+        [third + 1e-13, third + 1e-13, third - 2e-13],
+    )
+    mu_hat, _, _ = discrete_dual_pipeline(eta, 3)
+    assert np.array_equal(mu_hat.atoms, eta.atoms)
+    assert np.all(mu_hat.weights == third)
+
+
 def test_pipeline_guards():
     with pytest.raises(TooFewSamples):
         discrete_dual_pipeline(load_measure("shifted_gauss_100"), 1)
@@ -416,6 +428,28 @@ def test_pipeline_sampler_mode_is_estimated():
     # same seed, same report
     _, _, again = discrete_dual_pipeline(sampler, 25, seed=3)
     assert report.quadratic_cost == again.quadratic_cost
+
+
+def test_all_checked_hold_reads_every_flag():
+    @dataclasses.dataclass(frozen=True)
+    class MoreFlags(perturbation.HypothesisFlags):
+        extra: bool | None = None
+
+    def report(**flags):
+        return perturbation.PerturbationReport(0.0, None, MoreFlags(**flags), None)
+
+    assert report(quadratic_closeness=True).all_checked_hold
+    assert not report(quadratic_closeness=True, extra=False).all_checked_hold
+    assert not report().all_checked_hold
+
+
+def test_base_couplings_must_start_at_mu():
+    mu = load_measure("axes_2d")
+    _, other_base = canonical_dual(random_frame(np.random.default_rng(3), 2, 4))
+    c = solve_w2(mu, mu).plan
+    for build in (perturbed_approx_dual, variant_certificates, matched_mixed_dual):
+        with pytest.raises(MarginalMismatch, match="coupling source is not"):
+            build(mu, other_base, mu, c)
 
 
 def test_report_dict_shape():

@@ -250,7 +250,16 @@ def neighbour_set_flows(m, n, adj, a, b):
             leaves.append(w)
     if len(flows) != m + n - 1 or min(flows.values()) < -1e-9:
         raise InternalInvariantError("not spanning")
-    return {arc: max(f, 0.0) for arc, f in flows.items()}
+    # the solver's zeroing, which also turns -0.0 into 0.0
+    return {arc: f if f > 0.0 else 0.0 for arc, f in flows.items()}
+
+
+def flows_plan(m, n, flows):
+    """The m x n plan holding each arc's flow in its cell, zero elsewhere."""
+    plan = np.zeros((m, n))
+    for arc, f in flows.items():
+        plan[arc] = f
+    return plan
 
 
 def random_spanning_tree(rng, m, n):
@@ -299,8 +308,9 @@ def test_tree_flows_match_neighbour_sets():
                 transport._tree_flows(m, n, arcs, a, b)
             raised += 1
             continue
+        # bit for bit: each tree arc's cell holds its flow, +0.0 elsewhere
         got = transport._tree_flows(m, n, arcs, a, b)
-        assert got == want
+        assert got.tobytes() == flows_plan(m, n, want).tobytes()
         checked += 1
     # optimal trees of degenerate (uniform, tied) problems
     for size in range(1, 9):
@@ -313,7 +323,8 @@ def test_tree_flows_match_neighbour_sets():
             adj[i].add(size + j)
             adj[size + j].add(i)
         want = neighbour_set_flows(size, size + 1, adj, a, b)
-        assert transport._tree_flows(size, size + 1, tree, a, b) == want
+        got = transport._tree_flows(size, size + 1, tree, a, b)
+        assert got.tobytes() == flows_plan(size, size + 1, want).tobytes()
     assert checked > 200 and raised > 20
 
 
@@ -374,18 +385,19 @@ def neighbour_set_duals(m, n, adj, cost):
 def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     """The pivot loop with its own path and component searches over
     neighbour sets, as the solver ran before it kept a rooted tree: the
-    reference for bit-identical plans, trees, potentials and stats.
-    pivots_seen, if given, collects (cycle length, nodes cut off from row
-    node 0, whether the shifted component holds row node 0) for every
-    pivot."""
+    reference for bit-identical plans, trees, potentials and stats. Its
+    set-up and final flows come from neighbour_set_flows, so it shares no
+    leaf elimination with the solver. pivots_seen, if given, collects
+    (cycle length, nodes cut off from row node 0, whether the shifted
+    component holds row node 0) for every pivot."""
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
     tree = transport._northwest_tree(a, b) if start is None else start
-    flows = transport._tree_flows(m, n, tree, a, b)
     adj = {k: set() for k in range(m + n)}
     for i, j in tree:
         adj[i].add(m + j)
         adj[m + j].add(i)
+    flows = neighbour_set_flows(m, n, adj, a, b)
     u, v = neighbour_set_duals(m, n, adj, cost)
     reduced = np.empty_like(cost)
     stall_limit = 30 + (m + n) // 2
@@ -457,10 +469,8 @@ def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
         adj[m + ej].add(ei)
     else:
         raise InternalInvariantError("transportation simplex failed to terminate")
-    flows = transport._tree_flows(m, n, flows, a, b)
-    plan = np.zeros((m, n))
-    for (i, j), f in flows.items():
-        plan[i, j] = f
+    flows = neighbour_set_flows(m, n, adj, a, b)
+    plan = flows_plan(m, n, flows)
     transport._certify(plan, u, v, cost)
     return plan, sorted(flows), u, v, transport.SolveStats(pivots, degenerate, bland)
 
@@ -490,9 +500,10 @@ def warm_problem(mu, nu):
 
 
 def result_bytes(result):
-    """(plan bytes, tree, u bytes, v bytes, stats) of a simplex solve."""
+    """(plan bytes, sorted tree, u bytes, v bytes, stats) of a simplex
+    solve; the solver returns its tree in child-node order."""
     plan, tree, u, v, stats = result
-    return plan.tobytes(), tree, u.tobytes(), v.tobytes(), astuple(stats)
+    return plan.tobytes(), sorted(tree), u.tobytes(), v.tobytes(), astuple(stats)
 
 
 def cold_then_warm(solve, problem):
@@ -529,7 +540,7 @@ def same_duals(hang, problem):
     """Whether the potentials of the set-up walk hang match the reference
     walk bit for bit."""
     m, n, arcs, cost = problem
-    pot = np.array(hang(m, n, dict.fromkeys(arcs, 0.0), cost)[-1])
+    pot = np.array(hang(m, n, arcs, np.zeros((m, n)), cost)[-1])
     adj = {k: set() for k in range(m + n)}
     for i, j in arcs:
         adj[i].add(m + j)
@@ -892,6 +903,13 @@ def test_simplex_trees_pass_the_rational_oracle(problem):
     cost = sq_dists(mu.atoms, nu.atoms)
     plan, tree, _, _, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
     assert_exactly_optimal(mu.weights, nu.weights, cost, plan, tree)
+    # a warm solve with the target atoms reversed, from the cold tree: the
+    # tree a pivot returns, or the start itself when it made no pivot
+    other = sq_dists(mu.atoms, nu.atoms[::-1])
+    plan, tree, _, _, _ = transport._transport_simplex(
+        mu.weights, nu.weights, other, start=tree
+    )
+    assert_exactly_optimal(mu.weights, nu.weights, other, plan, tree)
 
 
 def test_rational_oracle_catches_a_suboptimal_tree():
@@ -901,7 +919,7 @@ def test_rational_oracle_catches_a_suboptimal_tree():
     plan, tree, _, _, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
     assert stats.pivots > stats.degenerate_pivots
     planted = transport._northwest_tree(mu.weights, nu.weights)
-    assert sorted(planted) != tree
+    assert sorted(planted) != sorted(tree)
     gap, _ = exact_tree_gap(mu.weights, nu.weights, cost, planted)
     assert gap > 1e-3
     with pytest.raises(AssertionError):
