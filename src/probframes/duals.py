@@ -60,6 +60,8 @@ def certify(c: Coupling, tol: float = EXACT_TOL) -> DualCertificate:
     second marginal is guaranteed to be a frame with lower bound
     1/(B_mu ||A^{-1}||^2) and upper bound its second moment.
     """
+    if not np.isfinite(tol):
+        raise BadArgument(f"the exactness tolerance must be finite, got {tol}")
     if c.source.dim != c.target.dim:
         raise DimMismatch("dual certification needs equal ambient dimensions")
     a = mixed_frame_operator(c)
@@ -191,9 +193,11 @@ def uncertainty_product(c: Coupling, f) -> tuple[float, float]:
     lhs = (f^T A^{-1} S_mu A^{-T} f) * (f^T S_nu f) and rhs = |f|^4;
     the inequality lhs >= rhs holds by Cauchy-Schwarz through the plan.
     """
+    fv = np.asarray(f, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(fv)):
+        raise BadArgument("f has non-finite entries")
     cert = certify(c)
     a_inv = _require_inverse(cert.mixed_operator)
-    fv = np.asarray(f, dtype=float).reshape(-1)
     if fv.shape[0] != c.source.dim:
         raise DimMismatch(f"f has dimension {fv.shape[0]}, expected {c.source.dim}")
     g = a_inv.T @ fv

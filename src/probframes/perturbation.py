@@ -17,6 +17,7 @@ import numpy as np
 
 from .duals import DualCertificate, _require_inverse, certificate_to_dict, certify
 from .errors import (
+    BadArgument,
     EtaNotFrame,
     InternalInvariantError,
     MarginalMismatch,
@@ -402,6 +403,8 @@ def discrete_dual_pipeline(
     against a held-out empirical draw and every derived flag is marked
     estimated in the report details.
     """
+    if a_n is not None and not 0.0 <= a_n < math.inf:
+        raise BadArgument(f"A_N must be a finite number >= 0, got {a_n}")
     estimated = False
     if callable(eta):
         rng = np.random.default_rng(seed)

@@ -152,49 +152,54 @@ def transport_cost(c: Coupling) -> float:
 # transportation network simplex
 
 
-def _northwest_tree(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
-    """Northwest-corner spanning tree: m + n - 1 arcs, possibly degenerate."""
+def _northwest_tree(a: np.ndarray, b: np.ndarray) -> list[int]:
+    """Northwest-corner spanning tree, possibly degenerate, as a parent list:
+    each staircase step hangs its new node from the other end of its arc."""
     m, n = a.shape[0], b.shape[0]
-    basis = []
+    parent = [-1] * (m + n)
+    parent[m] = 0
     ra, rb = a.copy(), b.copy()
     i = j = 0
     while True:
-        basis.append((i, j))
         t = min(ra[i], rb[j])
         ra[i] -= t
         rb[j] -= t
         if i == m - 1 and j == n - 1:
-            break
+            return parent
         if j == n - 1 or (ra[i] <= rb[j] and i < m - 1):
             i += 1
+            parent[i] = m + j
         else:
             j += 1
-    return basis
+            parent[m + j] = i
 
 
-def _tree_flows(m: int, n: int, arcs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _tree_flows(m: int, n: int, parent, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The plan of the unique arc flows on a spanning tree supporting the
     marginals, zero off the tree.
 
+    Row nodes are 0..m-1, column nodes m..m+n-1, and parent[k] is node
+    k's neighbour towards row node 0 (parent[0] == -1). A list of another
+    length, a link inside one side or a cycle is rejected as not spanning.
     Computed by leaf elimination directly from a and b, so the flows
-    carry no pivot roundoff; sub-roundoff negatives are zeroed.
-    Row nodes are 0..m-1, column nodes m..m+n-1. Each node keeps only
-    its degree and the XOR of its neighbours, so a leaf's one remaining
-    neighbour is that XOR; leaves are eliminated from the same stack in
-    the same order as with explicit neighbour sets, and the flows are
-    summed in that order. Neither depends on the order of the arcs. An
-    arc listed twice closes a cycle that is never eliminated, so it is
-    rejected as not spanning.
+    carry no pivot roundoff; sub-roundoff negatives are zeroed. Each node
+    keeps only its degree and the XOR of its neighbours, so a leaf's one
+    remaining neighbour is that XOR; leaves are eliminated from the same
+    stack in the same order as with explicit neighbour sets, and the
+    flows are summed in that order.
     """
+    if len(parent) != m + n or parent[0] != -1:
+        raise InternalInvariantError("tree is not spanning: not a parent list")
     net = np.concatenate([a, -b]).tolist()
-    degree = [0] * (m + n)
-    others = [0] * (m + n)
-    for i, j in arcs:
-        j += m
-        degree[i] += 1
-        degree[j] += 1
-        others[i] ^= j
-        others[j] ^= i
+    degree, others = [1] * (m + n), list(parent)
+    degree[0] = others[0] = 0
+    rows, cols = range(m), range(m, m + n)
+    for k in range(1, m + n):
+        p = parent[k]
+        if p not in (cols if k < m else rows):
+            raise InternalInvariantError(f"tree is not spanning: link {k}-{p}")
+        degree[p] += 1
+        others[p] ^= k
     leaves = [k for k, d in enumerate(degree) if d == 1]
     pop, push = leaves.pop, leaves.append
     plan = np.zeros((m, n))
@@ -230,26 +235,21 @@ def _arc(m: int, child: int, parent: int) -> tuple[int, int]:
 
 
 def _hang(
-    m: int, n: int, arcs, plan: np.ndarray, cost: np.ndarray
-) -> tuple[list[list[int]], list[int], list[int], list[float], list[float]]:
-    """Hang a spanning tree from row node 0 in one depth-first walk.
+    m: int, n: int, parent, plan: np.ndarray, cost: np.ndarray
+) -> tuple[list[list[int]], list[int], list[float], list[float]]:
+    """Walk a spanning tree's parent list down from row node 0.
 
-    arcs lists the tree's cells (i, j), in any order, and plan holds
-    their flows. Row nodes are 0..m-1 and columns m..m+n-1. Returns
-    (nbrs, parent, depth, flow, pot): each node's neighbour list, its
-    parent (-1 at the root) and depth, the flow on the arc to its parent,
-    named by the child, and its potential, the arc's cost less the
-    parent's, so that u_i + v_j = cost_ij on every arc with u_0 = 0. A
-    potential depends only on the path from the root, so any walk order,
-    and so any order of the arcs, gives the same bits.
+    plan holds the tree's flows. Row nodes are 0..m-1 and columns
+    m..m+n-1. Returns (nbrs, depth, flow, pot): each node's neighbour
+    list, its depth, the flow on the arc to its parent, named by the
+    child, and its potential, the arc's cost less the parent's, so that
+    u_i + v_j = cost_ij on every arc with u_0 = 0.
     """
     nbrs: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in arcs:
-        j += m
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    parent, depth = [-1] * (m + n), [0] * (m + n)
-    flow, pot = [0.0] * (m + n), [0.0] * (m + n)
+    for k in range(1, m + n):
+        nbrs[k].append(parent[k])
+        nbrs[parent[k]].append(k)
+    depth, flow, pot = [0] * (m + n), [0.0] * (m + n), [0.0] * (m + n)
     stack = [0]
     while stack:
         k = stack.pop()
@@ -257,10 +257,10 @@ def _hang(
         for w in nbrs[k]:
             if w != up:
                 arc = (w, k - m) if w < m else (k, w - m)
-                parent[w], depth[w], flow[w] = k, below, plan.item(arc)
+                depth[w], flow[w] = below, plan.item(arc)
                 pot[w] = cost.item(arc) - here
                 stack.append(w)
-    return nbrs, parent, depth, flow, pot
+    return nbrs, depth, flow, pot
 
 
 def _pivot_budget(m: int, n: int) -> int:
@@ -280,17 +280,17 @@ class SolveStats:
 
 def _transport_simplex(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None
-) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray, np.ndarray, SolveStats]:
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, SolveStats]:
     """Minimize <cost, plan> over the transportation polytope.
 
     Returns (plan, tree, u, v, stats): the plan certified optimal by
-    _certify, tree its optimal spanning tree as a list of cells ordered by
-    child node (the start itself when no pivot was made), u and v the row
-    and column potentials the certificate checked, which are tight on the
-    tree, and stats the pivot counts. A tree optimal for one cost matrix
-    is a feasible start for any cost matrix with the same marginals, in
-    any arc order; a start that does not span (a repeated arc included)
-    or needs negative flows raises InternalInvariantError.
+    _certify, tree its optimal spanning tree as a parent list hung from
+    row node 0 (see _tree_flows), u and v the row and column potentials
+    the certificate checked, which are tight on the tree, and stats the
+    pivot counts. A tree optimal for one cost matrix is a feasible start
+    for any cost matrix with the same marginals; a start that is not a
+    spanning parent list of this problem or needs negative flows raises
+    InternalInvariantError.
     Pricing is most-negative reduced cost, falling back to Bland's rule
     (first negative cell in row-major order) whenever a run of
     degenerate pivots suggests stalling; Bland's rule cannot cycle, so
@@ -300,8 +300,8 @@ def _transport_simplex(
     matrix is the one store of flows outside the pivot loop: leaf
     elimination writes it, and the set-up walk reads it.
 
-    The tree is hung from row node 0 by _hang: every other node keeps its
-    parent, its depth and the flow on the arc to its parent, so an arc is
+    _hang walks the parent list down from row node 0: every other node
+    keeps its depth and the flow on the arc to its parent, so an arc is
     named by its child node. A pivot climbs from both ends of the
     entering cell to their lowest common ancestor, which gives the cycle.
     The leaving arc cuts off the subtree below its child; that subtree
@@ -315,9 +315,10 @@ def _transport_simplex(
     """
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
-    tree = _northwest_tree(a, b) if start is None else start
-    plan = _tree_flows(m, n, tree, a, b)
-    nbrs, parent, depth, flow, pot = _hang(m, n, tree, plan, cost)
+    # pivots rewrite the parent list, so a start is copied
+    parent = _northwest_tree(a, b) if start is None else list(start)
+    plan = _tree_flows(m, n, parent, a, b)
+    nbrs, depth, flow, pot = _hang(m, n, parent, plan, cost)
     pot = np.array(pot)
     rows, cols = pot[:m, None], pot[None, m:]
     # a shift by delta lowers row potentials and raises column ones
@@ -412,14 +413,12 @@ def _transport_simplex(
         raise InternalInvariantError("transportation simplex failed to terminate")
 
     # final flows recomputed from the marginals, so the plan is exact;
-    # with no pivot the tree is the start's, and leaf elimination, which
-    # sees only degrees and neighbour XORs, gives the set-up plan again
+    # with no pivot the tree is the start's, and the set-up plan is its
     if pivots:
-        tree = [_arc(m, k, parent[k]) for k in range(1, m + n)]
-        plan = _tree_flows(m, n, tree, a, b)
+        plan = _tree_flows(m, n, parent, a, b)
     u, v = pot[:m], pot[m:]
     _certify(plan, u, v, cost)
-    return plan, tree, u, v, SolveStats(pivots, degenerate, bland)
+    return plan, parent, u, v, SolveStats(pivots, degenerate, bland)
 
 
 def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):

@@ -133,6 +133,23 @@ def test_validation_errors_exit_2(tmp_path):
     strings = tmp_path / "string_weights.json"
     strings.write_text(json.dumps({**axes, "weights": ["0.5", "0.5"]}))
     assert run_cli("analyze", str(strings)).returncode == 0
+    # non-finite vectors and tolerances, and an A_N that is negative or
+    # not finite, are bad input, not internal errors
+    coupling = tmp_path / "coupling.json"
+    dual = json.loads(run_cli("canonical-dual", "axes_2d").stdout)
+    coupling.write_text(json.dumps(dual["coupling"]))
+    sample = ["sample-dual", "shifted_gauss_100", "--samples", "10", "--a-n"]
+    for argv in (
+        ["uncertainty", str(coupling), "--vector", "nan,1"],
+        ["uncertainty", str(coupling), "--vector", "1,inf"],
+        ["certify", "permuted_axes_coupling", "--tol", "nan"],
+        ["certify", "permuted_axes_coupling", "--tol", "inf"],
+        [*sample, "-1"],
+        [*sample, "nan"],
+        [*sample, "inf"],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and r.stderr.startswith("error: "), (argv, r.stderr)
 
 
 def test_failed_hypotheses_exit_3():

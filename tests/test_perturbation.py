@@ -261,7 +261,13 @@ def unscreened_greedy_subsample(eta, n):
                     continue
                 column = {atom: k for k, atom in enumerate(trial)}
                 column[out] = column[int(cand)]
-                start = [(i, column[best[j]]) for i, j in best_tree]
+                # the incumbent's tree with its column nodes moved to the
+                # trial's columns: node m + j becomes m + column[best[j]]
+                m = eta.size
+                node = [*range(m), *(m + column[atom] for atom in best)]
+                start = [-1] * (m + n)
+                for k, p in enumerate(best_tree[1:], 1):
+                    start[node[k]] = node[p]
                 cost, tree = exact_cost(cols, start=start)
                 if cost < best_cost * (1.0 - 1e-12):
                     best, best_cost, best_tree = trial, cost, tree

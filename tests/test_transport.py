@@ -210,23 +210,36 @@ def test_failed_certificate_stops_oracle_and_swap_solves(failing_certificate):
 
 
 def test_simplex_rejects_start_trees_that_do_not_fit():
+    # rows 0 and 1 are nodes 0 and 1, columns 0 and 1 are nodes 2 and 3
     a, b = np.array([0.2, 0.8]), np.array([0.7, 0.3])
     cost = np.array([[0.0, 1.0], [2.0, 0.5]])
     plan, tree, _, _, _ = transport._transport_simplex(a, b, cost)
     again, same, _, _, _ = transport._transport_simplex(a, b, cost + 1.0, start=tree)
     assert np.array_equal(again, plan) and same == tree
-    # two arcs do not span; four arcs close a cycle; a spanning tree
-    # with one arc listed twice is no tree either
     for start in (
-        [(0, 0), (1, 1)],
-        [(0, 0), (0, 1), (1, 0), (1, 1)],
-        [(0, 0), (1, 0), (1, 1), (1, 0)],
+        [-1, 2, 0],  # too short
+        [-1, 2, 0, 1, 0],  # too long
+        [-1, 3, 0, 1],  # 1 and 3 hang from each other: a 2-cycle
+        [-1, 0, 0, 1],  # a link between rows 0 and 1
+        [2, 2, -1, 1],  # hung from column node 2, not row node 0
+        [3, 2, 0, 1],  # a tree hung from row node 0, which has a parent
+        [-1, 2, 0, 4],  # a link to a node that does not exist
     ):
         with pytest.raises(InternalInvariantError, match="not spanning"):
             transport._transport_simplex(a, b, cost, start=start)
     # spans, but row 0 would have to ship 0.3 of its 0.2 to column 1
     with pytest.raises(InternalInvariantError, match="nonnegative flows"):
-        transport._transport_simplex(a, b, cost, start=[(0, 0), (0, 1), (1, 0)])
+        transport._transport_simplex(a, b, cost, start=[-1, 2, 0, 0])
+    # a 3 x 2 problem's tree has the length of a 2 x 3 problem's, but
+    # joins nodes of one side there, and the other way round
+    c = np.array([0.5, 0.3, 0.2])
+    tall = transport._transport_simplex(c, b, np.ones((3, 2)))[1]
+    wide = transport._transport_simplex(b, c, np.ones((2, 3)))[1]
+    for start, rows, cols in ((tall, b, c), (wide, c, b)):
+        with pytest.raises(InternalInvariantError, match="not spanning"):
+            transport._transport_simplex(
+                rows, cols, np.ones((rows.size, cols.size)), start=start
+            )
 
 
 def neighbour_set_flows(m, n, adj, a, b):
@@ -262,6 +275,37 @@ def flows_plan(m, n, flows):
     return plan
 
 
+def arc_neighbours(m, n, arcs):
+    """Each node's set of neighbours in a list of cells (i, j)."""
+    adj = {k: set() for k in range(m + n)}
+    for i, j in arcs:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    return adj
+
+
+def tree_arcs(m, parent):
+    """The cells (i, j) of a parent list's links k - parent[k], sorted."""
+    links = enumerate(parent[1:], 1)
+    return sorted((k, p - m) if k < m else (p, k - m) for k, p in links)
+
+
+def parent_list(m, n, arcs):
+    """Hang a spanning tree's cells from row node 0 by a search over
+    neighbour sets: the parent list whose links are exactly arcs."""
+    adj = arc_neighbours(m, n, arcs)
+    parent = [-1] * (m + n)
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        for w in adj[k] - {parent[k]}:
+            assert w and parent[w] == -1, "the cells close a cycle"
+            parent[w] = k
+            stack.append(w)
+    assert len(arcs) == m + n - 1 and tree_arcs(m, parent) == sorted(arcs)
+    return parent
+
+
 def random_spanning_tree(rng, m, n):
     """Uniformly shuffled attachment: each new node joins a random
     already-joined node of the other side."""
@@ -294,22 +338,22 @@ def test_tree_flows_match_neighbour_sets():
             a, b = rng.uniform(0.0, 1.0, m) ** 3 + 1e-12, rng.uniform(0.1, 1.0, n)
             a, b = a / a.sum(), b / b.sum()
         if case % 2 == 0:
-            arcs = transport._northwest_tree(a, b)
+            parent = transport._northwest_tree(a, b)
+            arcs = tree_arcs(m, parent)
+            assert parent == parent_list(m, n, arcs)
         else:
             arcs = random_spanning_tree(rng, m, n)
-        adj = {k: set() for k in range(m + n)}
-        for i, j in arcs:
-            adj[i].add(m + j)
-            adj[m + j].add(i)
+            parent = parent_list(m, n, arcs)
+        adj = arc_neighbours(m, n, arcs)
         try:
             want = neighbour_set_flows(m, n, adj, a, b)
         except InternalInvariantError:
             with pytest.raises(InternalInvariantError):
-                transport._tree_flows(m, n, arcs, a, b)
+                transport._tree_flows(m, n, parent, a, b)
             raised += 1
             continue
         # bit for bit: each tree arc's cell holds its flow, +0.0 elsewhere
-        got = transport._tree_flows(m, n, arcs, a, b)
+        got = transport._tree_flows(m, n, parent, a, b)
         assert got.tobytes() == flows_plan(m, n, want).tobytes()
         checked += 1
     # optimal trees of degenerate (uniform, tied) problems
@@ -318,10 +362,7 @@ def test_tree_flows_match_neighbour_sets():
         b = np.full(size + 1, 1.0 / (size + 1))
         cost = rng.integers(0, 3, (size, size + 1)).astype(float)
         tree = transport._transport_simplex(a, b, cost)[1]
-        adj = {k: set() for k in range(2 * size + 1)}
-        for i, j in tree:
-            adj[i].add(size + j)
-            adj[size + j].add(i)
+        adj = arc_neighbours(size, size + 1, tree_arcs(size, tree))
         want = neighbour_set_flows(size, size + 1, adj, a, b)
         got = transport._tree_flows(size, size + 1, tree, a, b)
         assert got.tobytes() == flows_plan(size, size + 1, want).tobytes()
@@ -385,18 +426,17 @@ def neighbour_set_duals(m, n, adj, cost):
 def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     """The pivot loop with its own path and component searches over
     neighbour sets, as the solver ran before it kept a rooted tree: the
-    reference for bit-identical plans, trees, potentials and stats. Its
-    set-up and final flows come from neighbour_set_flows, so it shares no
-    leaf elimination with the solver. pivots_seen, if given, collects
+    reference for bit-identical plans, trees, potentials and stats. It
+    turns its start and final tree between parent lists and cells with
+    tree_arcs and parent_list, and its set-up and final flows come from
+    neighbour_set_flows, so it shares no tree code with the solver but
+    the northwest corner start. pivots_seen, if given, collects
     (cycle length, nodes cut off from row node 0, whether the shifted
     component holds row node 0) for every pivot."""
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
     tree = transport._northwest_tree(a, b) if start is None else start
-    adj = {k: set() for k in range(m + n)}
-    for i, j in tree:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
+    adj = arc_neighbours(m, n, tree_arcs(m, tree))
     flows = neighbour_set_flows(m, n, adj, a, b)
     u, v = neighbour_set_duals(m, n, adj, cost)
     reduced = np.empty_like(cost)
@@ -472,7 +512,8 @@ def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     flows = neighbour_set_flows(m, n, adj, a, b)
     plan = flows_plan(m, n, flows)
     transport._certify(plan, u, v, cost)
-    return plan, sorted(flows), u, v, transport.SolveStats(pivots, degenerate, bland)
+    tree = parent_list(m, n, list(flows))
+    return plan, tree, u, v, transport.SolveStats(pivots, degenerate, bland)
 
 
 def seeded_transport_problem(seed):
@@ -500,10 +541,12 @@ def warm_problem(mu, nu):
 
 
 def result_bytes(result):
-    """(plan bytes, sorted tree, u bytes, v bytes, stats) of a simplex
-    solve; the solver returns its tree in child-node order."""
+    """(plan bytes, sorted tree cells, u bytes, v bytes, stats) of a
+    simplex solve, whose tree is a parent list hung from row node 0."""
     plan, tree, u, v, stats = result
-    return plan.tobytes(), sorted(tree), u.tobytes(), v.tobytes(), astuple(stats)
+    assert tree[0] == -1
+    arcs = tree_arcs(plan.shape[0], tree)
+    return plan.tobytes(), arcs, u.tobytes(), v.tobytes(), astuple(stats)
 
 
 def cold_then_warm(solve, problem):
@@ -540,12 +583,8 @@ def same_duals(hang, problem):
     """Whether the potentials of the set-up walk hang match the reference
     walk bit for bit."""
     m, n, arcs, cost = problem
-    pot = np.array(hang(m, n, arcs, np.zeros((m, n)), cost)[-1])
-    adj = {k: set() for k in range(m + n)}
-    for i, j in arcs:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
-    want = neighbour_set_duals(m, n, adj, cost)
+    pot = np.array(hang(m, n, parent_list(m, n, arcs), np.zeros((m, n)), cost)[-1])
+    want = neighbour_set_duals(m, n, arc_neighbours(m, n, arcs), cost)
     return all(g.tobytes() == w.tobytes() for g, w in zip((pot[:m], pot[m:]), want))
 
 
@@ -613,9 +652,14 @@ def test_reference_comparisons_catch_mutated_walks(monkeypatch):
             assert cold_then_warm(flipped._transport_simplex, problem) != want
         except InternalInvariantError:
             pass
-    # potentials rooted at column 0: the same reduced costs up to rounding,
-    # other bits
-    rerooted = mutated_transport(monkeypatch, "stack = [0]", "stack = [m]")
+    # potentials rooted at column 0 (v_0 = 0): the same reduced costs up
+    # to rounding, other bits
+    rerooted = mutated_transport(
+        monkeypatch,
+        "return nbrs, depth, flow, pot",
+        "return nbrs, depth, flow, [p + pot[m] if k < m else p - pot[m] "
+        "for k, p in enumerate(pot)]",
+    )
     assert not any(
         same_duals(rerooted._hang, random_tree_duals(seed)) for seed in range(5)
     )
@@ -836,27 +880,48 @@ def test_w2_matches_highs_lp(problem):
     assert np.abs(plan.sum(axis=0) - nu.weights).max() <= 1e-10
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transport_problems())
+def test_simplex_trees_are_parent_lists_of_their_plans(problem):
+    mu, nu = problem
+    a, b, m, n = mu.weights, nu.weights, mu.size, nu.size
+    cold = transport._transport_simplex(a, b, sq_dists(mu.atoms, nu.atoms))
+    start = list(cold[1])
+    other = sq_dists(mu.atoms, nu.atoms[::-1])
+    warm = transport._transport_simplex(a, b, other, start=cold[1])
+    assert cold[1] == start
+    for plan, tree, *_ in (cold, warm):
+        # row node 0 is the root, every other node hangs from a node of
+        # the other side, and the links are a tree hung from row node 0
+        assert tree[0] == -1
+        assert all(tree[k] in range(m, m + n) for k in range(1, m))
+        assert all(tree[k] in range(m) for k in range(m, m + n))
+        arcs = tree_arcs(m, tree)
+        assert parent_list(m, n, arcs) == tree
+        # leaf elimination on the tree gives back the plan, bit for bit
+        flows = neighbour_set_flows(m, n, arc_neighbours(m, n, arcs), a, b)
+        assert plan.tobytes() == flows_plan(m, n, flows).tobytes()
+
+
 def exact_tree_gap(a, b, cost, tree):
     """Replay a spanning tree of the transportation problem in rationals.
 
-    The float weights and costs are taken as exact rationals. The tree
-    flows come from leaf elimination, the column potentials from the
-    tree arcs (u_0 = 0), and every row potential is then reset to
-    u_i = min_j (c_ij - v_j), so (u, v) is dual feasible and its value
-    is a lower bound on the optimum with no rounding anywhere. Returns
-    (primal - dual, flows): the exact primal-dual gap of the tree and
-    its flows, which are exact on every marginal but the last node
-    eliminated, where the float weights' own imbalance sum(a) - sum(b)
-    is left.
+    The float weights and costs are taken as exact rationals, and the
+    tree, a parent list, as its cells. The tree flows come from leaf
+    elimination, the column potentials from the tree arcs (u_0 = 0),
+    and every row potential is then reset to u_i = min_j (c_ij - v_j),
+    so (u, v) is dual feasible and its value is a lower bound on the
+    optimum with no rounding anywhere. Returns (primal - dual, flows):
+    the exact primal-dual gap of the tree and its flows, which are exact
+    on every marginal but the last node eliminated, where the float
+    weights' own imbalance sum(a) - sum(b) is left.
     """
     m, n = cost.shape
     a = [Fraction(w) for w in a.tolist()]
     b = [Fraction(w) for w in b.tolist()]
     c = [[Fraction(v) for v in row] for row in cost.tolist()]
-    neighbours = {k: set() for k in range(m + n)}
-    for i, j in tree:
-        neighbours[i].add(m + j)
-        neighbours[m + j].add(i)
+    arcs = tree_arcs(m, tree)
+    neighbours = arc_neighbours(m, n, arcs)
     net = a + [-w for w in b]
     flows = {}
     leaves = [k for k in range(m + n) if len(neighbours[k]) == 1]
@@ -874,7 +939,7 @@ def exact_tree_gap(a, b, cost, tree):
     u, v = [None] * m, [None] * n
     u[0] = Fraction(0)
     while any(x is None for x in v):
-        for i, j in tree:
+        for i, j in arcs:
             if u[i] is not None and v[j] is None:
                 v[j] = c[i][j] - u[i]
             elif v[j] is not None and u[i] is None:
@@ -919,7 +984,7 @@ def test_rational_oracle_catches_a_suboptimal_tree():
     plan, tree, _, _, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
     assert stats.pivots > stats.degenerate_pivots
     planted = transport._northwest_tree(mu.weights, nu.weights)
-    assert sorted(planted) != sorted(tree)
+    assert tree_arcs(6, planted) != tree_arcs(6, tree)
     gap, _ = exact_tree_gap(mu.weights, nu.weights, cost, planted)
     assert gap > 1e-3
     with pytest.raises(AssertionError):
