@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -282,6 +283,13 @@ COMMANDS = {
 }
 
 
+# the commands that read --tol, the exactness tolerance of their certificates
+TOL_COMMANDS = (
+    "certify", "canonical-dual", "approx-dual", "neumann", "rescue", "pushforward",
+    "perturb",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probframes",
@@ -301,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="NAME",
             help="append a bundled fixture as an input",
         )
-        p.add_argument("--tol", type=float, default=EXACT_TOL)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--iters", type=int, default=SEARCH_ITERS)
+        if name in TOL_COMMANDS:
+            p.add_argument("--tol", type=float, default=EXACT_TOL)
+        if name == "certify":
+            p.add_argument("--iters", type=int, default=SEARCH_ITERS)
         p.add_argument("--output", choices=("json", "text"), default="json")
         if name == "approx-dual":
             p.add_argument("--operator", required=True, metavar="MATRIX")
@@ -323,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dual", metavar="FILE")
         if name == "sample-dual":
             p.add_argument("--samples", type=int, required=True)
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--a-n", type=float, default=None)
     return parser
 
@@ -331,6 +341,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, _ = COMMANDS[args.command]
     try:
+        # checked here, not by argparse, so that it is reported as bad input
+        if not math.isfinite(getattr(args, "tol", 0.0)):
+            raise BadArgument(f"--tol must be a finite number, got {args.tol}")
         doc, hypotheses_ok = handler(args)
         text = dumps(doc) if args.output == "json" else render_text(doc)
     except (ProbFramesError, OSError) as err:

@@ -2,16 +2,15 @@
 
 A coupling stores the full plan matrix against its two marginals and is
 validated on construction. The Wasserstein-2 solver is a transportation
-network simplex over the plan polytope: a spanning-tree basis kept as
-parent and depth lists rooted at row node 0, pricing by most-negative
-reduced cost with Bland's rule as the anti-cycling fallback, each
-pivot's cycle found by climbing to the lowest common ancestor, only the
-subtree the leaving arc cuts off re-hung, dual potentials shifted on
-the side of the cut that holds the entering column, and a
-complementary-slackness certificate at termination. The same solver
-doubles as the linear-minimization oracle of Wolfe's
-minimum-norm-point search for the coupling whose mixed frame operator
-is nearest a prescribed one.
+network simplex over the plan polytope: a spanning-tree basis hung from
+row node 0 and kept between solves, pricing by most-negative reduced
+cost with Bland's rule as the anti-cycling fallback, each pivot's cycle
+found by climbing to the lowest common ancestor, only the subtree the
+leaving arc cuts off re-hung, dual potentials shifted on the side of the
+cut that holds the entering column, and a complementary-slackness
+certificate at termination. The same solver doubles as the
+linear-minimization oracle of Wolfe's minimum-norm-point search for the
+coupling whose mixed frame operator is nearest a prescribed one.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -234,33 +234,53 @@ def _arc(m: int, child: int, parent: int) -> tuple[int, int]:
     return (child, parent - m) if child < m else (parent, child - m)
 
 
-def _hang(
-    m: int, n: int, parent, plan: np.ndarray, cost: np.ndarray
-) -> tuple[list[list[int]], list[int], list[float], list[float]]:
-    """Walk a spanning tree's parent list down from row node 0.
+@dataclass(frozen=True, eq=False)
+class HungTree:
+    """A simplex basis: a parent list hung from row node 0 (see
+    _tree_flows) and the read-only plan leaf elimination writes for it
+    from the marginals a and b. Its walk is made once, when first used."""
 
-    plan holds the tree's flows. Row nodes are 0..m-1 and columns
-    m..m+n-1. Returns (nbrs, depth, flow, pot): each node's neighbour
-    list, its depth, the flow on the arc to its parent, named by the
-    child, and its potential, the arc's cost less the parent's, so that
-    u_i + v_j = cost_ij on every arc with u_0 = 0.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(m + n)]
-    for k in range(1, m + n):
-        nbrs[k].append(parent[k])
-        nbrs[parent[k]].append(k)
-    depth, flow, pot = [0] * (m + n), [0.0] * (m + n), [0.0] * (m + n)
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        up, below, here = parent[k], depth[k] + 1, pot[k]
-        for w in nbrs[k]:
-            if w != up:
-                arc = (w, k - m) if w < m else (k, w - m)
-                depth[w], flow[w] = below, plan.item(arc)
-                pot[w] = cost.item(arc) - here
-                stack.append(w)
-    return nbrs, depth, flow, pot
+    parent: tuple[int, ...]
+    a: np.ndarray
+    b: np.ndarray
+    plan: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
+        plan = _tree_flows(a.size, b.size, self.parent, a, b)
+        for name, value in (("a", a), ("b", b), ("plan", plan)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "parent", tuple(self.parent))
+
+    @cached_property
+    def walk(self) -> tuple:
+        """Each node's depth, flow to its parent (which names the arc) and
+        neighbours, parent first; the other nodes in preorder, their arcs' cells."""
+        parent, plan, (m, n) = self.parent, self.plan, self.plan.shape
+        nbrs = [[]] + [[p] for p in parent[1:]]
+        for k in range(1, m + n):
+            nbrs[parent[k]].append(k)
+        depth, flow, order, cells = [0] * (m + n), [0.0] * (m + n), [], []
+        stack = nbrs[0][:]
+        while stack:
+            k = stack.pop()
+            p = parent[k]
+            i, j = _arc(m, k, p)
+            depth[k], flow[k] = depth[p] + 1, plan.item(i, j)
+            order.append(k)
+            cells.append(i * n + j)
+            stack += nbrs[k][1:]
+        nbrs = tuple(map(tuple, nbrs))
+        return tuple(depth), tuple(flow), nbrs, tuple(order), np.array(cells)
+
+    def potentials(self, cost: np.ndarray) -> list[float]:
+        """Potentials tight on the tree, u_0 = 0, in one pass down the preorder."""
+        *_, order, cells = self.walk
+        parent, pot = self.parent, [0.0] * len(self.parent)
+        for k, c in zip(order, cost.take(cells).tolist()):
+            pot[k] = c - pot[parent[k]]
+        return pot
 
 
 def _pivot_budget(m: int, n: int) -> int:
@@ -280,46 +300,46 @@ class SolveStats:
 
 def _transport_simplex(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None
-) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, SolveStats]:
+) -> tuple[np.ndarray, HungTree, np.ndarray, np.ndarray, SolveStats]:
     """Minimize <cost, plan> over the transportation polytope.
 
     Returns (plan, tree, u, v, stats): the plan certified optimal by
-    _certify, tree its optimal spanning tree as a parent list hung from
-    row node 0 (see _tree_flows), u and v the row and column potentials
-    the certificate checked, which are tight on the tree, and stats the
-    pivot counts. A tree optimal for one cost matrix is a feasible start
-    for any cost matrix with the same marginals; a start that is not a
-    spanning parent list of this problem or needs negative flows raises
-    InternalInvariantError.
+    _certify, tree its optimal spanning tree as a HungTree holding that
+    plan, u and v the row and column potentials the certificate checked,
+    which are tight on the tree, and stats the pivot counts. A tree
+    optimal for one cost matrix is a feasible start for any cost matrix
+    with the same marginals; one made for others is rebuilt from its
+    parent list, and one that does not span this problem or needs
+    negative flows raises InternalInvariantError.
     Pricing is most-negative reduced cost, falling back to Bland's rule
     (first negative cell in row-major order) whenever a run of
     degenerate pivots suggests stalling; Bland's rule cannot cycle, so
     the fallback guarantees termination. The leaving arc is the
     minimum-ratio cell with lexicographic tie-break, and the final flows
-    are recomputed from the marginals on the optimal tree. The plan
-    matrix is the one store of flows outside the pivot loop: leaf
-    elimination writes it, and the set-up walk reads it.
+    are recomputed from the marginals on the optimal tree.
 
-    _hang walks the parent list down from row node 0: every other node
-    keeps its depth and the flow on the arc to its parent, so an arc is
-    named by its child node. A pivot climbs from both ends of the
-    entering cell to their lowest common ancestor, which gives the cycle.
-    The leaving arc cuts off the subtree below its child; that subtree
-    alone is re-hung from the entering arc, reversing the parent path
-    between them, and walked for its new depths. The potentials of the
-    side holding the entering column are shifted, through a mask when
-    that is the root side. Every float operation is the one a walk of
-    the whole tree would make, so plans, trees and stats are bit for bit
-    those of the neighbour-set pivot loop kept as a reference in the
-    tests.
+    The set-up copies the start's walk down from row node 0 (each other
+    node's depth and the flow on the arc to its parent, which names the
+    arc) and takes the potentials in one pass down its preorder. A pivot
+    climbs from both ends of the entering cell to their lowest common
+    ancestor, which gives the cycle. The leaving arc cuts off the subtree
+    below its child; that subtree alone is re-hung from the entering
+    arc, reversing the parent path between them, and walked for its new
+    depths. The potentials of the side holding the entering column are
+    shifted, through a mask when that is the root side. Every float
+    operation is the one a walk of the whole tree would make, so plans,
+    trees and stats are bit for bit those of the neighbour-set pivot
+    loop kept as a reference in the tests.
     """
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
-    # pivots rewrite the parent list, so a start is copied
-    parent = _northwest_tree(a, b) if start is None else list(start)
-    plan = _tree_flows(m, n, parent, a, b)
-    nbrs, depth, flow, pot = _hang(m, n, parent, plan, cost)
-    pot = np.array(pot)
+    tree = HungTree(_northwest_tree(a, b), a, b) if start is None else start
+    if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():
+        tree = HungTree(tree.parent, a, b)
+    # pivots rewrite the tree, so the record's walk is copied
+    depth, flow, nbrs = (list(x) for x in tree.walk[:3])
+    parent, nbrs = list(tree.parent), list(map(list, nbrs))
+    pot = np.array(tree.potentials(cost))
     rows, cols = pot[:m, None], pot[None, m:]
     # a shift by delta lowers row potentials and raises column ones
     sign = np.ones(m + n)
@@ -413,12 +433,12 @@ def _transport_simplex(
         raise InternalInvariantError("transportation simplex failed to terminate")
 
     # final flows recomputed from the marginals, so the plan is exact;
-    # with no pivot the tree is the start's, and the set-up plan is its
+    # with no pivot the tree is the start's record, plan and all
     if pivots:
-        plan = _tree_flows(m, n, parent, a, b)
-    u, v = pot[:m], pot[m:]
+        tree = HungTree(parent, a, b)
+    plan, u, v = tree.plan, pot[:m], pot[m:]
     _certify(plan, u, v, cost)
-    return plan, parent, u, v, SolveStats(pivots, degenerate, bland)
+    return plan, tree, u, v, SolveStats(pivots, degenerate, bland)
 
 
 def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):

@@ -152,6 +152,56 @@ def test_validation_errors_exit_2(tmp_path):
         assert r.returncode == 2 and r.stderr.startswith("error: "), (argv, r.stderr)
 
 
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    from probframes import cli
+
+    reads = {
+        "--tol": {
+            "certify", "canonical-dual", "approx-dual", "neumann", "rescue",
+            "pushforward", "perturb",
+        },
+        "--iters": {"certify"},
+        "--seed": {"sample-dual"},
+    }
+    assert set(cli.TOL_COMMANDS) == reads["--tol"]
+    parser = cli.build_parser()
+    required = {
+        "approx-dual": ["--operator", "op"],
+        "uncertainty": ["--vector", "1"],
+        "sample-dual": ["--samples", "3"],
+    }
+    for command in cli.COMMANDS:
+        for flag, commands in reads.items():
+            argv = [command, "input", *required.get(command, []), flag, "3"]
+            if command in commands:
+                assert vars(parser.parse_args(argv))[flag[2:]] == 3
+            else:
+                with pytest.raises(SystemExit) as stop:
+                    parser.parse_args(argv)
+                assert stop.value.code == 2
+    capsys.readouterr()
+    # the golden sweep's runs with these flags parse as they did
+    for argv, flag, value in (
+        (["certify", "axes_2d", "axes_2d", "--iters", "200"], "iters", 200),
+        (["certify", "c.json", "--tol", "1e-3", "--output", "text"], "tol", 1e-3),
+        (["sample-dual", "c.json", "--samples", "5", "--seed", "4"], "seed", 4),
+    ):
+        assert vars(parser.parse_args(argv))[flag] == value
+    # flags that these commands accepted and dropped
+    for argv in (
+        ["sample-dual", "shifted_gauss_100", "--samples", "10", "--tol", "inf"],
+        ["analyze", "dirac_one", "--iters", "5"],
+        ["w2", "axes_2d", "axes_2d", "--seed", "3"],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and "unrecognized arguments" in r.stderr, argv
+    # a command that takes --tol rejects a non-finite one even where it
+    # never reaches a certificate
+    r = run_cli("perturb", "axes_2d", "axes_2d", "--mode", "bound", "--tol", "nan")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: --tol must be a finite number, got nan\n"
+
+
 def test_failed_hypotheses_exit_3():
     r = run_cli("perturb", "dirac_one", "dirac_zero", "--mode", "bound")
     assert r.returncode == 3

@@ -261,13 +261,14 @@ def unscreened_greedy_subsample(eta, n):
                     continue
                 column = {atom: k for k, atom in enumerate(trial)}
                 column[out] = column[int(cand)]
-                # the incumbent's tree with its column nodes moved to the
-                # trial's columns: node m + j becomes m + column[best[j]]
+                # the incumbent's parent list with its column nodes moved to
+                # the trial's columns: node m + j becomes m + column[best[j]]
                 m = eta.size
                 node = [*range(m), *(m + column[atom] for atom in best)]
                 start = [-1] * (m + n)
-                for k, p in enumerate(best_tree[1:], 1):
+                for k, p in enumerate(best_tree.parent[1:], 1):
                     start[node[k]] = node[p]
+                start = transport.HungTree(start, eta.weights, sub_weights)
                 cost, tree = exact_cost(cols, start=start)
                 if cost < best_cost * (1.0 - 1e-12):
                     best, best_cost, best_tree = trial, cost, tree

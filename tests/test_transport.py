@@ -2,6 +2,7 @@ import inspect
 import json
 import sys
 import types
+from collections import namedtuple
 from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
@@ -215,7 +216,9 @@ def test_simplex_rejects_start_trees_that_do_not_fit():
     cost = np.array([[0.0, 1.0], [2.0, 0.5]])
     plan, tree, _, _, _ = transport._transport_simplex(a, b, cost)
     again, same, _, _, _ = transport._transport_simplex(a, b, cost + 1.0, start=tree)
-    assert np.array_equal(again, plan) and same == tree
+    assert np.array_equal(again, plan) and same is tree
+    # a record is built from a parent list through the one constructor,
+    # which rejects every list that does not fit
     for start in (
         [-1, 2, 0],  # too short
         [-1, 2, 0, 1, 0],  # too long
@@ -226,10 +229,20 @@ def test_simplex_rejects_start_trees_that_do_not_fit():
         [-1, 2, 0, 4],  # a link to a node that does not exist
     ):
         with pytest.raises(InternalInvariantError, match="not spanning"):
-            transport._transport_simplex(a, b, cost, start=start)
+            transport._transport_simplex(
+                a, b, cost, start=transport.HungTree(start, a, b)
+            )
     # spans, but row 0 would have to ship 0.3 of its 0.2 to column 1
     with pytest.raises(InternalInvariantError, match="nonnegative flows"):
-        transport._transport_simplex(a, b, cost, start=[-1, 2, 0, 0])
+        transport._transport_simplex(
+            a, b, cost, start=transport.HungTree([-1, 2, 0, 0], a, b)
+        )
+    # the same tree made for marginals it can carry is rebuilt for a and
+    # b, and rejected there
+    other = np.array([0.5, 0.5])
+    fits = transport.HungTree([-1, 2, 0, 0], other, other)
+    with pytest.raises(InternalInvariantError, match="nonnegative flows"):
+        transport._transport_simplex(a, b, cost, start=fits)
     # a 3 x 2 problem's tree has the length of a 2 x 3 problem's, but
     # joins nodes of one side there, and the other way round
     c = np.array([0.5, 0.3, 0.2])
@@ -240,6 +253,35 @@ def test_simplex_rejects_start_trees_that_do_not_fit():
             transport._transport_simplex(
                 rows, cols, np.ones((rows.size, cols.size)), start=start
             )
+        with pytest.raises(InternalInvariantError, match="not spanning"):
+            transport.HungTree(start.parent, rows, cols)
+
+
+def test_a_start_made_for_other_marginals_is_rebuilt_for_the_new_ones():
+    rng = np.random.default_rng(5)
+    fitted = rejected = 0
+    for _ in range(60):
+        m, n = (int(k) for k in rng.integers(2, 9, 2))
+        a0, b0 = rng.uniform(0.1, 1.0, m), rng.uniform(0.1, 1.0, n)
+        a0, b0 = a0 / a0.sum(), b0 / b0.sum()
+        # the same shape, each weight moved by up to a fifth
+        a, b = a0 * rng.uniform(0.8, 1.2, m), b0 * rng.uniform(0.8, 1.2, n)
+        a, b = a / a.sum(), b / b.sum()
+        cost = rng.standard_normal((m, n))
+        made = transport._transport_simplex(a0, b0, cost)[1]
+        try:
+            rebuilt = transport.HungTree(made.parent, a, b)
+        except InternalInvariantError:
+            with pytest.raises(InternalInvariantError, match="nonnegative flows"):
+                transport._transport_simplex(a, b, cost, start=made)
+            rejected += 1
+            continue
+        want = result_bytes(transport._transport_simplex(a, b, cost, start=rebuilt))
+        got = transport._transport_simplex(a, b, cost, start=made)
+        assert result_bytes(got) == want
+        assert got[1] is not made and got[1].a.tobytes() == a.tobytes()
+        fitted += 1
+    assert fitted > 20 and rejected > 20
 
 
 def neighbour_set_flows(m, n, adj, a, b):
@@ -361,7 +403,7 @@ def test_tree_flows_match_neighbour_sets():
         a = np.full(size, 1.0 / size)
         b = np.full(size + 1, 1.0 / (size + 1))
         cost = rng.integers(0, 3, (size, size + 1)).astype(float)
-        tree = transport._transport_simplex(a, b, cost)[1]
+        tree = transport._transport_simplex(a, b, cost)[1].parent
         adj = arc_neighbours(size, size + 1, tree_arcs(size, tree))
         want = neighbour_set_flows(size, size + 1, adj, a, b)
         got = transport._tree_flows(size, size + 1, tree, a, b)
@@ -423,6 +465,9 @@ def neighbour_set_duals(m, n, adj, cost):
     return u, v
 
 
+ReferenceTree = namedtuple("ReferenceTree", "parent")
+
+
 def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     """The pivot loop with its own path and component searches over
     neighbour sets, as the solver ran before it kept a rooted tree: the
@@ -430,12 +475,13 @@ def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     turns its start and final tree between parent lists and cells with
     tree_arcs and parent_list, and its set-up and final flows come from
     neighbour_set_flows, so it shares no tree code with the solver but
-    the northwest corner start. pivots_seen, if given, collects
+    the northwest corner start; its trees are ReferenceTree records
+    holding only their parent list. pivots_seen, if given, collects
     (cycle length, nodes cut off from row node 0, whether the shifted
     component holds row node 0) for every pivot."""
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
-    tree = transport._northwest_tree(a, b) if start is None else start
+    tree = transport._northwest_tree(a, b) if start is None else start.parent
     adj = arc_neighbours(m, n, tree_arcs(m, tree))
     flows = neighbour_set_flows(m, n, adj, a, b)
     u, v = neighbour_set_duals(m, n, adj, cost)
@@ -512,7 +558,7 @@ def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     flows = neighbour_set_flows(m, n, adj, a, b)
     plan = flows_plan(m, n, flows)
     transport._certify(plan, u, v, cost)
-    tree = parent_list(m, n, list(flows))
+    tree = ReferenceTree(tuple(parent_list(m, n, list(flows))))
     return plan, tree, u, v, transport.SolveStats(pivots, degenerate, bland)
 
 
@@ -542,10 +588,10 @@ def warm_problem(mu, nu):
 
 def result_bytes(result):
     """(plan bytes, sorted tree cells, u bytes, v bytes, stats) of a
-    simplex solve, whose tree is a parent list hung from row node 0."""
+    simplex solve, whose tree's parent list is hung from row node 0."""
     plan, tree, u, v, stats = result
-    assert tree[0] == -1
-    arcs = tree_arcs(plan.shape[0], tree)
+    assert tree.parent[0] == -1
+    arcs = tree_arcs(plan.shape[0], tree.parent)
     return plan.tobytes(), arcs, u.tobytes(), v.tobytes(), astuple(stats)
 
 
@@ -569,28 +615,33 @@ def test_simplex_matches_the_neighbour_set_pivot_loop():
 
 
 def random_tree_duals(seed):
-    """A random spanning tree (as an arc list) and a tied or scaled cost."""
+    """A random spanning tree (as an arc list), marginals it carries with
+    positive flows, and a tied or scaled cost."""
     rng = np.random.default_rng(seed)
     m, n = (int(k) for k in rng.integers(1, 13, 2))
     if seed % 2:
         cost = rng.integers(0, 4, (m, n)).astype(float)
     else:
         cost = 10.0 ** int(rng.integers(-3, 4)) * rng.standard_normal((m, n))
-    return m, n, random_spanning_tree(rng, m, n), cost
+    arcs = random_spanning_tree(rng, m, n)
+    rows, cols = np.array(arcs).T
+    flows = rng.uniform(0.5, 1.5, len(arcs))
+    a, b = np.bincount(rows, flows, m), np.bincount(cols, flows, n)
+    return m, n, arcs, a, b, cost
 
 
-def same_duals(hang, problem):
-    """Whether the potentials of the set-up walk hang match the reference
-    walk bit for bit."""
-    m, n, arcs, cost = problem
-    pot = np.array(hang(m, n, parent_list(m, n, arcs), np.zeros((m, n)), cost)[-1])
+def same_duals(hung_tree, problem):
+    """Whether the set-up potentials of the tree record class hung_tree
+    match the reference walk bit for bit."""
+    m, n, arcs, a, b, cost = problem
+    pot = np.array(hung_tree(parent_list(m, n, arcs), a, b).potentials(cost))
     want = neighbour_set_duals(m, n, arc_neighbours(m, n, arcs), cost)
     return all(g.tobytes() == w.tobytes() for g, w in zip((pot[:m], pot[m:]), want))
 
 
 def test_tree_duals_match_the_neighbour_set_walk():
     for seed in range(300):
-        assert same_duals(transport._hang, random_tree_duals(seed))
+        assert same_duals(transport.HungTree, random_tree_duals(seed))
 
 
 def test_deep_trees_match_the_neighbour_set_pivot_loop(monkeypatch):
@@ -656,12 +707,12 @@ def test_reference_comparisons_catch_mutated_walks(monkeypatch):
     # to rounding, other bits
     rerooted = mutated_transport(
         monkeypatch,
-        "return nbrs, depth, flow, pot",
-        "return nbrs, depth, flow, [p + pot[m] if k < m else p - pot[m] "
-        "for k, p in enumerate(pot)]",
+        "return pot",
+        "return [p + pot[len(self.a)] if k < len(self.a) "
+        "else p - pot[len(self.a)] for k, p in enumerate(pot)]",
     )
     assert not any(
-        same_duals(rerooted._hang, random_tree_duals(seed)) for seed in range(5)
+        same_duals(rerooted.HungTree, random_tree_duals(seed)) for seed in range(5)
     )
 
 
@@ -687,7 +738,7 @@ def test_solve_stats_repeat():
     plan, tree, _, _, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
     restart = transport._transport_simplex(mu.weights, nu.weights, cost, start=tree)
     assert restart[4] == transport.SolveStats(0, 0, 0)
-    assert restart[0].tobytes() == plan.tobytes() and restart[1] == tree
+    assert restart[0].tobytes() == plan.tobytes() and restart[1] is tree
 
 
 def test_greedy_swap_solves_start_near_optimal(monkeypatch):
@@ -886,28 +937,74 @@ def test_simplex_trees_are_parent_lists_of_their_plans(problem):
     mu, nu = problem
     a, b, m, n = mu.weights, nu.weights, mu.size, nu.size
     cold = transport._transport_simplex(a, b, sq_dists(mu.atoms, nu.atoms))
-    start = list(cold[1])
     other = sq_dists(mu.atoms, nu.atoms[::-1])
     warm = transport._transport_simplex(a, b, other, start=cold[1])
-    assert cold[1] == start
-    for plan, tree, *_ in (cold, warm):
+    for plan, record, *_ in (cold, warm):
+        # the record holds the returned plan itself, read-only
+        assert plan is record.plan and not plan.flags.writeable
+        tree = record.parent
         # row node 0 is the root, every other node hangs from a node of
         # the other side, and the links are a tree hung from row node 0
         assert tree[0] == -1
         assert all(tree[k] in range(m, m + n) for k in range(1, m))
         assert all(tree[k] in range(m) for k in range(m, m + n))
         arcs = tree_arcs(m, tree)
-        assert parent_list(m, n, arcs) == tree
+        assert tuple(parent_list(m, n, arcs)) == tree
         # leaf elimination on the tree gives back the plan, bit for bit
         flows = neighbour_set_flows(m, n, arc_neighbours(m, n, arcs), a, b)
         assert plan.tobytes() == flows_plan(m, n, flows).tobytes()
+
+
+def record_state(tree):
+    """Everything a tree record holds, its walk included, as bytes and
+    tuples that a later mutation would change."""
+    *lists, cells = tree.walk
+    arrays = (tree.a, tree.b, tree.plan, cells)
+    return tree.parent, [x.tobytes() for x in arrays], lists
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transport_problems())
+def test_warm_solves_carry_their_start_record(problem):
+    mu, nu = problem
+    a, b = mu.weights, nu.weights
+    cost = sq_dists(mu.atoms, nu.atoms)
+    start = transport._transport_simplex(a, b, cost)[1]
+    # the same tree rebuilt from its bare parent list
+    rebuilt = transport.HungTree(list(start.parent), a, b)
+    before = record_state(start)
+    assert record_state(rebuilt) == before
+    calls = []
+    tree_flows = transport._tree_flows
+
+    def counting(*args):
+        calls.append(args)
+        return tree_flows(*args)
+
+    # the optimal cost again, which needs no pivot, and the target atoms
+    # reversed, which usually needs some
+    for warm_cost in (cost, sq_dists(mu.atoms, nu.atoms[::-1])):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "_tree_flows", counting)
+            calls.clear()
+            warm = transport._transport_simplex(a, b, warm_cost, start=start)
+            made = len(calls)
+            again = transport._transport_simplex(a, b, warm_cost, start=rebuilt)
+        assert result_bytes(warm) == result_bytes(again)
+        pivoted = warm[4].pivots > 0
+        # leaf elimination runs once, for the final flows, and only after
+        # a pivot; with none the start record itself is the answer
+        assert made == len(calls) - made == int(pivoted)
+        assert (warm[1] is start and warm[0] is start.plan) != pivoted
+        # no solve changes its start
+        assert record_state(start) == record_state(rebuilt) == before
 
 
 def exact_tree_gap(a, b, cost, tree):
     """Replay a spanning tree of the transportation problem in rationals.
 
     The float weights and costs are taken as exact rationals, and the
-    tree, a parent list, as its cells. The tree flows come from leaf
+    tree, a tree record, as the cells of its parent list. The tree flows come from leaf
     elimination, the column potentials from the tree arcs (u_0 = 0),
     and every row potential is then reset to u_i = min_j (c_ij - v_j),
     so (u, v) is dual feasible and its value is a lower bound on the
@@ -920,7 +1017,7 @@ def exact_tree_gap(a, b, cost, tree):
     a = [Fraction(w) for w in a.tolist()]
     b = [Fraction(w) for w in b.tolist()]
     c = [[Fraction(v) for v in row] for row in cost.tolist()]
-    arcs = tree_arcs(m, tree)
+    arcs = tree_arcs(m, tree.parent)
     neighbours = arc_neighbours(m, n, arcs)
     net = a + [-w for w in b]
     flows = {}
@@ -983,8 +1080,10 @@ def test_rational_oracle_catches_a_suboptimal_tree():
     cost = sq_dists(mu.atoms, nu.atoms)
     plan, tree, _, _, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
     assert stats.pivots > stats.degenerate_pivots
-    planted = transport._northwest_tree(mu.weights, nu.weights)
-    assert tree_arcs(6, planted) != tree_arcs(6, tree)
+    planted = transport.HungTree(
+        transport._northwest_tree(mu.weights, nu.weights), mu.weights, nu.weights
+    )
+    assert tree_arcs(6, planted.parent) != tree_arcs(6, tree.parent)
     gap, _ = exact_tree_gap(mu.weights, nu.weights, cost, planted)
     assert gap > 1e-3
     with pytest.raises(AssertionError):

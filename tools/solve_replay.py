@@ -1,0 +1,137 @@
+"""Record and compare every simplex solve of the greedy subsample search.
+
+Runs ``probframes.perturbation.greedy_subsample`` on seeded 80-point
+Gaussian clouds (n = 16, the shape of the ``pipeline_warm`` benchmark
+op) and on the bundled ``shifted_gauss_100`` at n = 12, 20 and 30, and
+records for each run the SHA-256 of the chosen subsample's atoms and,
+for every simplex solve the search makes, the SHA-256 of its cost
+matrix and of its plan and its pivot counts (``SolveStats``). Only the
+plan and the stats of a solve's result are read, so any commit whose
+``_transport_simplex`` returns ``(plan, tree, u, v, stats)`` can be
+recorded, whatever form its tree takes.
+
+    python tools/solve_replay.py record OUT.json [--src DIR]
+    python tools/solve_replay.py compare OUT.json [--src DIR]
+
+``--src`` selects the ``src`` directory whose ``probframes`` is run
+(default: the one next to this script). Record at the parent commit,
+then compare at the change; ``compare`` prints every run whose
+subsample or solves differ and exits 1 if there is one. Float bits may
+differ between BLAS builds, so compare only records made on one
+machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+CLOUDS = 10
+CLOUD_SEED = 1
+
+
+def _sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def inputs():
+    """(name, measure, n) of every run."""
+    from probframes.fixtures import load_measure
+    from probframes.measures import uniform
+
+    rng = np.random.default_rng(CLOUD_SEED)
+    for k in range(CLOUDS):
+        # the recipe of shifted_gauss_100: standard normal points in the
+        # plane, shifted by e1
+        points = rng.standard_normal((80, 2))
+        points[:, 0] += 1.0
+        yield f"cloud_{k}", uniform(points), 16
+    eta = load_measure("shifted_gauss_100")
+    for n in (12, 20, 30):
+        yield f"shifted_gauss_100_n{n}", eta, n
+
+
+def replay(src: Path) -> list[dict]:
+    sys.path.insert(0, str(src.resolve()))
+    from probframes import transport
+    from probframes.perturbation import greedy_subsample
+
+    solve = transport._transport_simplex
+    solves: list[list] = []
+
+    def recording(a, b, cost, start=None):
+        result = solve(a, b, cost, start=start)
+        plan, stats = result[0], result[4]
+        counts = [stats.pivots, stats.degenerate_pivots, stats.bland_pivots]
+        solves.append([_sha(cost), _sha(plan), counts])
+        return result
+
+    runs = []
+    transport._transport_simplex = recording
+    try:
+        for name, eta, n in inputs():
+            solves = []
+            chosen = greedy_subsample(eta, n)
+            runs.append({"run": name, "subsample_sha256": _sha(chosen.atoms),
+                         "solves": solves})
+    finally:
+        transport._transport_simplex = solve
+    return runs
+
+
+def compare(old: list[dict], new: list[dict]) -> int:
+    before = {r["run"]: r for r in old}
+    differing = 0
+    for r in new:
+        o = before.pop(r["run"], None)
+        if o is None:
+            print(f"new run: {r['run']}")
+            differing += 1
+            continue
+        notes = []
+        if o["subsample_sha256"] != r["subsample_sha256"]:
+            notes.append("subsample differs")
+        if len(o["solves"]) != len(r["solves"]):
+            notes.append(f"{len(o['solves'])} -> {len(r['solves'])} solves")
+        first = next(
+            (k for k, (p, q) in enumerate(zip(o["solves"], r["solves"])) if p != q),
+            None,
+        )
+        if first is not None:
+            notes.append(f"solve {first} differs first: {o['solves'][first]} -> "
+                         f"{r['solves'][first]}")
+        if notes:
+            differing += 1
+            print(f"differs: {r['run']}: " + "; ".join(notes))
+    for name in before:
+        print(f"missing run: {name}")
+        differing += 1
+    total = sum(len(r["solves"]) for r in new)
+    print(f"{len(new)} runs, {total} solves, {differing} runs differ")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("mode", choices=("record", "compare"))
+    parser.add_argument("path", type=Path, help="solve record (JSON)")
+    parser.add_argument("--src", type=Path, default=REPO_SRC,
+                        help="src directory holding the probframes to run")
+    args = parser.parse_args(argv)
+    runs = replay(args.src)
+    if args.mode == "record":
+        args.path.write_text(json.dumps({"runs": runs}) + "\n")
+        total = sum(len(r["solves"]) for r in runs)
+        print(f"{len(runs)} runs recorded, {total} solves")
+        return 0
+    return compare(json.loads(args.path.read_text())["runs"], runs)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
