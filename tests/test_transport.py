@@ -1004,14 +1004,15 @@ def exact_tree_gap(a, b, cost, tree):
     """Replay a spanning tree of the transportation problem in rationals.
 
     The float weights and costs are taken as exact rationals, and the
-    tree, a tree record, as the cells of its parent list. The tree flows come from leaf
-    elimination, the column potentials from the tree arcs (u_0 = 0),
-    and every row potential is then reset to u_i = min_j (c_ij - v_j),
-    so (u, v) is dual feasible and its value is a lower bound on the
-    optimum with no rounding anywhere. Returns (primal - dual, flows):
-    the exact primal-dual gap of the tree and its flows, which are exact
-    on every marginal but the last node eliminated, where the float
-    weights' own imbalance sum(a) - sum(b) is left.
+    tree, a tree record, as the cells of its parent list. The tree flows
+    come from leaf elimination, the column potentials from the tree
+    arcs (u_0 = 0), and every row potential is then reset to
+    u_i = min_j (c_ij - v_j), so (u, v) is dual feasible and its value
+    is a lower bound on the optimum with no rounding anywhere. Returns
+    (primal - dual, flows): the exact primal-dual gap of the tree and
+    its flows, which are exact on every marginal but the last node
+    eliminated, where the float weights' own imbalance sum(a) - sum(b)
+    is left.
     """
     m, n = cost.shape
     a = [Fraction(w) for w in a.tolist()]
