@@ -337,8 +337,8 @@ def _transport_simplex(
     if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():
         tree = HungTree(tree.parent, a, b)
     # pivots rewrite the tree, so the record's walk is copied
-    depth, flow, nbrs = (list(x) for x in tree.walk[:3])
-    parent, nbrs = list(tree.parent), list(map(list, nbrs))
+    parent, depth, flow = (list(x) for x in (tree.parent, *tree.walk[:2]))
+    nbrs = list(map(list, tree.walk[2]))
     pot = np.array(tree.potentials(cost))
     rows, cols = pot[:m, None], pot[None, m:]
     # a shift by delta lowers row potentials and raises column ones
