@@ -256,7 +256,8 @@ class HungTree:
     @cached_property
     def walk(self) -> tuple:
         """Each node's depth, flow to its parent (which names the arc) and
-        neighbours, parent first; the other nodes in preorder, their arcs' cells."""
+        neighbours, parent first; the other nodes in preorder, their arcs'
+        cells. The lists are the record's own: a solve copies them to pivot."""
         parent, plan, (m, n) = self.parent, self.plan, self.plan.shape
         nbrs = [[]] + [[p] for p in parent[1:]]
         for k in range(1, m + n):
@@ -271,8 +272,7 @@ class HungTree:
             order.append(k)
             cells.append(i * n + j)
             stack += nbrs[k][1:]
-        nbrs = tuple(map(tuple, nbrs))
-        return tuple(depth), tuple(flow), nbrs, tuple(order), np.array(cells)
+        return depth, flow, nbrs, order, np.array(cells)
 
     def potentials(self, cost: np.ndarray) -> list[float]:
         """Potentials tight on the tree, u_0 = 0, in one pass down the preorder."""
@@ -336,9 +336,9 @@ def _transport_simplex(
     tree = HungTree(_northwest_tree(a, b), a, b) if start is None else start
     if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():
         tree = HungTree(tree.parent, a, b)
-    # pivots rewrite the tree, so the record's walk is copied
-    parent, depth, flow = (list(x) for x in (tree.parent, *tree.walk[:2]))
-    nbrs = list(map(list, tree.walk[2]))
+    parent, (depth, flow, nbrs, *_) = list(tree.parent), tree.walk
+    if tree is start:  # pivots rewrite the walk; a record made here is dropped
+        depth, flow, nbrs = depth[:], flow[:], [x[:] for x in nbrs]
     pot = np.array(tree.potentials(cost))
     rows, cols = pot[:m, None], pot[None, m:]
     # a shift by delta lowers row potentials and raises column ones

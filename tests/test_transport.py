@@ -956,11 +956,11 @@ def test_simplex_trees_are_parent_lists_of_their_plans(problem):
 
 
 def record_state(tree):
-    """Everything a tree record holds, its walk included, as bytes and
-    tuples that a later mutation would change."""
+    """Everything a tree record holds, its walk included, copied as bytes
+    and a repr that a later mutation would not change."""
     *lists, cells = tree.walk
     arrays = (tree.a, tree.b, tree.plan, cells)
-    return tree.parent, [x.tobytes() for x in arrays], lists
+    return tree.parent, [x.tobytes() for x in arrays], repr(lists)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
