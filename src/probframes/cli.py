@@ -101,11 +101,11 @@ def _inputs(args, *counts: int) -> list[str]:
     return names
 
 
-def _dual_doc(dual: DiscreteMeasure, coupling: Coupling, args) -> dict:
+def _dual_doc(dual: DiscreteMeasure, coupling: Coupling, tol: float) -> dict:
     return {
         "dual": measure_to_dict(dual),
         "coupling": coupling_to_dict(coupling),
-        "certificate": certificate_to_dict(certify(coupling, tol=args.tol)),
+        "certificate": certificate_to_dict(certify(coupling, tol=tol)),
     }
 
 
@@ -174,13 +174,13 @@ def _cmd_certify(args):
 
 def _cmd_canonical_dual(args):
     (name,) = _inputs(args, 1)
-    return _dual_doc(*canonical_dual(_measure(name)), args), True
+    return _dual_doc(*canonical_dual(_measure(name)), args.tol), True
 
 
 def _cmd_approx_dual(args):
     (name,) = _inputs(args, 1)
     dual_pair = approx_dual_pushforward(_measure(name), _matrix(args.operator))
-    return _dual_doc(*dual_pair, args), True
+    return _dual_doc(*dual_pair, args.tol), True
 
 
 def _cmd_neumann(args):
@@ -208,7 +208,7 @@ def _cmd_neumann(args):
 
 def _cmd_rescue(args):
     (name,) = _inputs(args, 1)
-    return _dual_doc(*rescue_exact_dual(_coupling(name)), args), True
+    return _dual_doc(*rescue_exact_dual(_coupling(name)), args.tol), True
 
 
 def _cmd_pushforward(args):
@@ -219,7 +219,7 @@ def _cmd_pushforward(args):
         if args.offsets
         else np.zeros((m.size, m.dim))
     )
-    return _dual_doc(*pushforward_dual(m, offsets), args), True
+    return _dual_doc(*pushforward_dual(m, offsets), args.tol), True
 
 
 def _cmd_uncertainty(args):
@@ -239,6 +239,10 @@ def _cmd_perturb(args):
     mu, eta = _measure(base_name), _measure(eta_name)
     c = _coupling(args.coupling) if args.coupling else None
     if args.mode == "bound":
+        if args.tol is not None:
+            raise BadArgument(
+                "--tol is not read in --mode bound, which prints no certificate"
+            )
         report = perturbed_frame_bound(mu, eta, c)
     else:
         if not args.dual:
@@ -246,11 +250,12 @@ def _cmd_perturb(args):
         dual = _coupling(args.dual)
         if c is None:
             c = solve_w2(eta, mu).plan
+        tol = EXACT_TOL if args.tol is None else args.tol
         if args.mode == "matched":
             matched = matched_mixed_dual(mu, dual, eta, c)
-            return {"mode": "matched", **_dual_doc(*matched, args)}, True
+            return {"mode": "matched", **_dual_doc(*matched, tol)}, True
         build = perturbed_approx_dual if args.mode == "glue" else variant_certificates
-        report = build(mu, dual, eta, c)
+        report = build(mu, dual, eta, c, tol=tol)
     return {"mode": args.mode, **report_to_dict(report)}, report.all_checked_hold
 
 
@@ -310,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="append a bundled fixture as an input",
         )
         if name in TOL_COMMANDS:
-            p.add_argument("--tol", type=float, default=EXACT_TOL)
+            # perturb tells a --tol given from none: its bound mode reads none
+            default = None if name == "perturb" else EXACT_TOL
+            p.add_argument("--tol", type=float, default=default)
         if name == "certify":
             p.add_argument("--iters", type=int, default=SEARCH_ITERS)
         p.add_argument("--output", choices=("json", "text"), default="json")
@@ -342,8 +349,9 @@ def main(argv=None) -> int:
     handler, _ = COMMANDS[args.command]
     try:
         # checked here, not by argparse, so that it is reported as bad input
-        if not math.isfinite(getattr(args, "tol", 0.0)):
-            raise BadArgument(f"--tol must be a finite number, got {args.tol}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not math.isfinite(tol):
+            raise BadArgument(f"--tol must be a finite number, got {tol}")
         doc, hypotheses_ok = handler(args)
         text = dumps(doc) if args.output == "json" else render_text(doc)
     except (ProbFramesError, OSError) as err:

@@ -15,7 +15,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .duals import DualCertificate, _require_inverse, certificate_to_dict, certify
+from .duals import (
+    EXACT_TOL,
+    DualCertificate,
+    _require_inverse,
+    certificate_to_dict,
+    certify,
+)
 from .errors import (
     BadArgument,
     EtaNotFrame,
@@ -82,14 +88,14 @@ def _bound_estimate(a: float, lam: float) -> float | None:
 
 
 def _glued_certificate(
-    c: Coupling, dual: Coupling, bound: float | None
+    c: Coupling, dual: Coupling, bound: float | None, tol: float = EXACT_TOL
 ) -> DualCertificate:
-    """Certificate of the glued coupling glue(c, dual).
+    """Certificate of the glued coupling glue(c, dual), exact within tol.
 
     bound is the deviation a theorem guarantees when its hypotheses hold,
     None when they do not; a deviation at or above it is a bug.
     """
-    cert = certify(glue(c, dual))
+    cert = certify(glue(c, dual), tol=tol)
     if bound is not None and not cert.deviation < bound:
         raise InternalInvariantError(
             f"glued deviation {cert.deviation:.17g} not below the guaranteed "
@@ -139,13 +145,15 @@ def perturbed_approx_dual(
     nu_dual: Coupling,
     eta: DiscreteMeasure,
     c: Coupling,
+    tol: float = EXACT_TOL,
 ) -> PerturbationReport:
     """Transport an exact dual certificate to a perturbed source.
 
     nu_dual couples mu to an exact dual nu; c couples eta to mu. Gluing
     the two yields a coupling of eta to nu whose deviation is below
     sqrt(lambda * C) with C the upper bound of nu, hence below
-    sqrt(A * C) <= 1 when both checked hypotheses hold.
+    sqrt(A * C) <= 1 when both checked hypotheses hold. tol is the
+    exactness tolerance of the glued certificate.
     """
     base = certify(nu_dual)
     if base.classification != "exact":
@@ -160,7 +168,10 @@ def perturbed_approx_dual(
     close = lam < a
     product_ok = a * cap <= 1.0 + 1e-12
     glued_cert = _glued_certificate(
-        c, nu_dual, math.sqrt(a * cap) + 1e-9 if close and product_ok else None
+        c,
+        nu_dual,
+        math.sqrt(a * cap) + 1e-9 if close and product_ok else None,
+        tol=tol,
     )
     return PerturbationReport(
         quadratic_cost=lam,
@@ -188,6 +199,7 @@ def variant_certificates(
     base: Coupling,
     eta: DiscreteMeasure,
     c: Coupling,
+    tol: float = EXACT_TOL,
 ) -> PerturbationReport:
     """The directional and inverse-displaced perturbation hypotheses.
 
@@ -196,7 +208,8 @@ def variant_certificates(
     moment) combined with M2(nu), applicable when the base pair is
     exact; and the A^{-1}-displaced cost against 1/C_nu, applicable
     whenever the base mixed operator inverts. Either hypothesis forces
-    the glued deviation below 1.
+    the glued deviation below 1. tol is the exactness tolerance of the
+    glued certificate.
     """
     _expect_marginals(base, mu)
     _expect_marginals(c, eta, mu)
@@ -212,7 +225,7 @@ def variant_certificates(
     c_nu = analyze(nu).upper_bound
     inverse_ok = displaced < 1.0 / c_nu
     glued_cert = _glued_certificate(
-        c, base, 1.0 + 1e-9 if moment_ok or inverse_ok else None
+        c, base, 1.0 + 1e-9 if moment_ok or inverse_ok else None, tol=tol
     )
     a = analyze(mu).lower_bound
     return PerturbationReport(
@@ -277,33 +290,14 @@ def _swap_lower_bound(a: np.ndarray, b: np.ndarray, cols: np.ndarray, v) -> floa
     One round of coordinate ascent from the column potentials v, first
     u = min_j (c_ij - v_j) and then v = min_i (c_ij - u_i), makes (u, v)
     dual feasible up to rounding, so by weak LP duality a.u + b.v is at
-    most the trial's optimal cost. The margin subtracted from it covers
-    the rounding, so that fl(sum(plan * cols)) as the trial's solve
-    would report it is never below the returned value.
+    most the trial's optimal cost. The margin subtracted from it, the
+    solver's own (transport._dual_margin), covers the rounding, so that
+    fl(sum(plan * cols)) as the trial's solve would report it is never
+    below the returned value.
     """
     u = (cols - v).min(axis=1)
     v = (cols - u[:, None]).min(axis=0)
-    m, n = cols.shape
-    # With eps = 2**-53, s = max C + max|u| + max|v|, d = |sum a - sum b|
-    # and r, q the row and column sums of the trial's plan P >= 0:
-    # - v_j is fl(c_ij - u_i) at the minimizing i, and fl(c_ij - u_i) >= v_j
-    #   at every other i, so u_i + v_j - c_ij <= eps |c_ij - u_i| <= eps s;
-    #   P, of mass about 1, gives sum P C >= r.u + q.v - eps s.
-    # - leaf elimination leaves each node's marginal off by the rounding
-    #   of its own sum, at most 2 deg eps times its mass, 2 (m + n) eps in
-    #   all. A flow zeroed as a rounding negative carries at most that
-    #   error and moves two marginals, and the last node takes the
-    #   imbalance d, so |r - a|_1 + |q - b|_1 <= d + 12 (m + n)^2 eps, each
-    #   unit of which shifts r.u + q.v by at most s.
-    # - fl(a @ u) + fl(b @ v) is within (m + n + 1) eps s of a.u + b.v.
-    # - fl(sum(P * C)) is within (mn + 1) eps max C of sum P C, whose
-    #   terms are nonnegative, and the subtraction below rounds once.
-    # The sum, at most (12 (m + n)^2 + mn + m + n + 4) eps s + d s, is
-    # below (16 (m + n)^2 eps + d) s.
-    scale = float(cols.max()) + float(np.abs(u).max()) + float(np.abs(v).max())
-    imbalance = abs(float(a.sum()) - float(b.sum()))
-    margin = (16 * (m + n) ** 2 * 2.0**-53 + imbalance) * scale
-    return float(a @ u) + float(b @ v) - margin
+    return float(a @ u) + float(b @ v) - _transport._dual_margin(a, b, cols, u, v)
 
 
 def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
@@ -323,6 +317,12 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     one round of coordinate ascent (_swap_lower_bound). A trial whose
     bound already reaches the acceptance threshold would be refused, so
     skipping it changes neither the order of the search nor its result.
+    A trial that is solved hands the solver the same threshold as
+    refuse_at: the solve stops with None as soon as the weak-duality
+    bound of its own potentials, less the same rounding margin, reaches
+    it (see transport._transport_simplex). Such a trial would also have
+    been refused, and an accepted trial's solve never stops early, so
+    the subsample and every accepted solve are those of full solves.
 
     A trial puts its candidate in the swapped-out atom's column and keeps
     every other column where the incumbent has it. All subsample columns
@@ -343,10 +343,13 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
         np.minimum(min_dist, sq[nxt], out=min_dist)
     best = sorted(chosen)
 
-    def solve(cols, start=None):
-        plan, tree, u, v, _ = _transport._transport_simplex(
-            eta.weights, sub_weights, cols, start=start
+    def solve(cols, start=None, refuse_at=None):
+        solved = _transport._transport_simplex(
+            eta.weights, sub_weights, cols, start=start, refuse_at=refuse_at
         )
+        if solved is None:
+            return None
+        plan, tree, u, v, _ = solved
         return float((plan * cols).sum()), tree, u, v
 
     best_cost, best_tree, u, v_best = solve(sq[:, best])
@@ -370,7 +373,10 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                 threshold = best_cost * (1.0 - 1e-12)
                 if _swap_lower_bound(eta.weights, sub_weights, cols, v) >= threshold:
                     continue
-                cost, tree, u_trial, v_trial = solve(cols, start=best_tree)
+                solved = solve(cols, start=best_tree, refuse_at=threshold)
+                if solved is None:
+                    continue
+                cost, tree, u_trial, v_trial = solved
                 if cost < threshold:
                     best, best_cost, best_tree = trial, cost, tree
                     u, v_best = u_trial, v_trial

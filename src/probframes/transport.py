@@ -8,9 +8,13 @@ cost with Bland's rule as the anti-cycling fallback, each pivot's cycle
 found by climbing to the lowest common ancestor, only the subtree the
 leaving arc cuts off re-hung, dual potentials shifted on the side of the
 cut that holds the entering column, and a complementary-slackness
-certificate at termination. The same solver doubles as the
-linear-minimization oracle of Wolfe's minimum-norm-point search for the
-coupling whose mixed frame operator is nearest a prescribed one.
+certificate at termination. A caller that only needs to know whether
+the optimal cost falls below a threshold can hand it over: the solve
+then stops with a refusal once a weak-duality lower bound, less a
+derived rounding margin, proves that it does not. The same solver
+doubles as the linear-minimization oracle of Wolfe's minimum-norm-point
+search for the coupling whose mixed frame operator is nearest a
+prescribed one.
 """
 
 from __future__ import annotations
@@ -298,9 +302,44 @@ class SolveStats:
     bland_pivots: int
 
 
+def _dual_margin(a: np.ndarray, b: np.ndarray, cost: np.ndarray, u, v) -> float:
+    """Rounding margin of the weak-duality bound a.u + b.v on a solve's cost.
+
+    One of u and v must be a c-transform of the other as floats compute
+    it, the row minima of fl(c_ij - v_j) or the column minima of
+    fl(c_ij - u_i), so that (u, v) is dual feasible up to that rounding.
+    Then fl(a @ u) + fl(b @ v), less this margin, is at most
+    fl(sum(plan * cost)) for the plan leaf elimination writes from a and
+    b on any spanning tree, which is the plan a solve returns.
+    """
+    m, n = cost.shape
+    # With eps = 2**-53, s = max|C| + max|u| + max|v|, d = |sum a - sum b|,
+    # M = max(1, sum a, sum b) and r, q the row and column sums of the
+    # solve's plan P >= 0, whose mass is M up to rounding:
+    # - the c-transform's minimum is some fl(c_ij - w), which is at most
+    #   c_ij - w + eps |c_ij - w| in every cell, so u_i + v_j - c_ij <= eps s
+    #   and sum P C >= r.u + q.v - eps s M.
+    # - leaf elimination leaves each node's marginal off by the rounding
+    #   of its own sum, at most 2 deg eps times its mass, 2 (m + n) eps M
+    #   in all. A flow zeroed as a rounding negative carries at most that
+    #   error and moves two marginals, and the last node takes the
+    #   imbalance d (computed within (m + n) eps M), so
+    #   |r - a|_1 + |q - b|_1 <= d + 12 (m + n)^2 eps M, each unit of which
+    #   shifts r.u + q.v by at most s.
+    # - fl(a @ u) + fl(b @ v) is within (m + n + 1) eps s M of a.u + b.v.
+    # - fl(sum(P * C)) is within (mn + 1) eps max|C| M of sum P C, and the
+    #   caller's subtraction of the margin rounds once.
+    # The sum, at most (12 (m + n)^2 + mn + m + n + 4) eps s M + d s, is
+    # below (16 (m + n)^2 eps M + d) s.
+    scale = float(np.abs(cost).max()) + float(np.abs(u).max()) + float(np.abs(v).max())
+    sa, sb = float(a.sum()), float(b.sum())
+    mass = max(1.0, sa, sb)
+    return (16 * (m + n) ** 2 * 2.0**-53 * mass + abs(sa - sb)) * scale
+
+
 def _transport_simplex(
-    a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None
-) -> tuple[np.ndarray, HungTree, np.ndarray, np.ndarray, SolveStats]:
+    a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None, refuse_at=None
+) -> tuple[np.ndarray, HungTree, np.ndarray, np.ndarray, SolveStats] | None:
     """Minimize <cost, plan> over the transportation polytope.
 
     Returns (plan, tree, u, v, stats): the plan certified optimal by
@@ -330,6 +369,20 @@ def _transport_simplex(
     operation is the one a walk of the whole tree would make, so plans,
     trees and stats are bit for bit those of the neighbour-set pivot
     loop kept as a reference in the tests.
+
+    With refuse_at given, the solve may return None instead, but only
+    once it has proved that its reported cost fl(sum(plan * cost))
+    would be at least refuse_at. At each pricing, the last one included,
+    the row potentials are replaced by the c-transform of the column
+    ones, u'_i = min_j (c_ij - v_j), which in exact arithmetic is u_i
+    plus the row minimum of the reduced costs and makes (u', v) dual
+    feasible, so by weak duality a.u' + b.v bounds the optimal cost from
+    below. The solve
+    stops when that bound, less the rounding margin of _dual_margin
+    (worked out only when the bound alone reaches refuse_at), reaches
+    refuse_at; a solve ending above refuse_at thus also skips its final
+    leaf elimination and certificate. A solve that does not stop
+    returns what it returns without refuse_at, bit for bit.
     """
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
@@ -347,12 +400,21 @@ def _transport_simplex(
     side = np.empty(m + n, dtype=bool)
 
     reduced = np.empty_like(cost)
+    transform = np.empty_like(cost)
     stall_limit = 30 + (m + n) // 2
     stalled = 0
     degenerate = bland = 0
     for pivots in range(_pivot_budget(m, n)):
         np.subtract(cost, rows, out=reduced)
         reduced -= cols
+        if refuse_at is not None:
+            v = pot[m:]
+            u = np.subtract(cost, cols, out=transform).min(axis=1)
+            bound = float(a @ u) + float(b @ v)
+            # the margin's maxima are worked out only when they can matter
+            if bound >= refuse_at:
+                if bound - _dual_margin(a, b, cost, u, v) >= refuse_at:
+                    return None
         if stalled <= stall_limit:
             flat = int(reduced.argmin())
             if reduced.item(flat) >= -eps:

@@ -202,6 +202,35 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     assert r.stderr == "error: --tol must be a finite number, got nan\n"
 
 
+def test_perturb_certifies_glue_and_variants_at_the_given_tol(tmp_path):
+    dual = tmp_path / "dual.json"
+    coupling = json.loads(run_cli("canonical-dual", "axes_2d").stdout)["coupling"]
+    dual.write_text(json.dumps(coupling))
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps(
+        {"dim": 2, "atoms": [[1.0, 0.001], [0.0, 1.0]], "weights": [0.5, 0.5]}
+    ))
+    # the glued coupling deviates by 1e-3: approximate at the default
+    # tolerance, exact at --tol 0.01
+    for mode in ("glue", "variants"):
+        argv = ["perturb", "axes_2d", str(near), "--mode", mode, "--dual", str(dual)]
+        for tol, classification in (([], "approximate"), (["--tol", "0.01"], "exact")):
+            r = run_cli(*argv, *tol)
+            assert r.returncode == 0, r.stderr
+            cert = json.loads(r.stdout)["certificate"]
+            assert abs(cert["deviation"] - 1e-3) < 1e-12
+            assert cert["classification"] == classification, (mode, tol)
+
+
+def test_perturb_bound_rejects_a_tol_it_would_not_read():
+    r = run_cli("perturb", "axes_2d", "axes_2d", "--mode", "bound", "--tol", "1e-9")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (
+        "error: --tol is not read in --mode bound, which prints no certificate\n"
+    )
+    assert run_cli("perturb", "axes_2d", "axes_2d", "--mode", "bound").returncode == 0
+
+
 def test_failed_hypotheses_exit_3():
     r = run_cli("perturb", "dirac_one", "dirac_zero", "--mode", "bound")
     assert r.returncode == 3

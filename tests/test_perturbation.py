@@ -210,7 +210,9 @@ def test_greedy_subsample_does_not_depend_on_the_warm_start(monkeypatch):
     warm = [greedy_subsample(eta, n).atoms for eta, n in inputs]
     solve = transport._transport_simplex
 
-    def cold(a, b, cost, start=None):
+    # full solves, as the search made them before it refused trials
+    # mid-solve
+    def cold(a, b, cost, start=None, refuse_at=None):
         return solve(a, b, cost)
 
     monkeypatch.setattr(transport, "_transport_simplex", cold)
@@ -313,7 +315,8 @@ def test_greedy_subsample_matches_the_unscreened_loop():
 
 def test_screened_swap_trials_cannot_be_accepted(monkeypatch):
     # every trial's bound, each followed by its warm solve unless the
-    # bound screened it out
+    # bound screened it out; a solve either ends or refuses the trial
+    # mid-solve at the threshold it was handed
     events = []
     bound, solve = perturbation._swap_lower_bound, transport._transport_simplex
 
@@ -322,14 +325,17 @@ def test_screened_swap_trials_cannot_be_accepted(monkeypatch):
         events.append(("bound", a, b, cols, lower))
         return lower
 
-    def solving(a, b, cost, start=None):
-        plan, tree, u, v, stats = solve(a, b, cost, start=start)
-        events.append(("solve", float((plan * cost).sum())))
-        return plan, tree, u, v, stats
+    def solving(a, b, cost, start=None, refuse_at=None):
+        result = solve(a, b, cost, start=start, refuse_at=refuse_at)
+        if result is None:
+            events.append(("refused", refuse_at))
+        else:
+            events.append(("solve", float((result[0] * cost).sum())))
+        return result
 
     monkeypatch.setattr(perturbation, "_swap_lower_bound", bounding)
     monkeypatch.setattr(transport, "_transport_simplex", solving)
-    screened = 0
+    screened = refused = 0
     for eta, n in [*swap_search_inputs(), *pipeline_clouds(1, seed=1)]:
         events.clear()
         greedy_subsample(eta, n)
@@ -347,12 +353,18 @@ def test_screened_swap_trials_cannot_be_accepted(monkeypatch):
                 if cost < threshold:
                     best_cost = cost
                 continue
-            screened += 1
-            assert lower >= threshold
+            # screened out, or refused mid-solve: a full solve must
+            # report a cost at or above the threshold either way
+            if follows[0] == "refused":
+                refused += 1
+                assert follows[1] == threshold
+            else:
+                screened += 1
+                assert lower >= threshold
             plan = solve(a, b, cols)[0]
             cost = float((plan * cols).sum())
             assert cost >= lower and cost >= threshold
-    assert screened > 1000
+    assert screened > 1000 and refused > 1000
 
 
 def test_swap_bound_is_tight_at_each_solves_own_potentials(monkeypatch):
@@ -362,7 +374,8 @@ def test_swap_bound_is_tight_at_each_solves_own_potentials(monkeypatch):
     solves = []
     solve = transport._transport_simplex
 
-    def recording(a, b, cost, start=None):
+    # full solves, refused trials included
+    def recording(a, b, cost, start=None, refuse_at=None):
         result = solve(a, b, cost, start=start)
         solves.append((a, b, cost, result))
         return result

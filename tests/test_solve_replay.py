@@ -1,0 +1,61 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "solve_replay.py"
+
+
+@pytest.fixture(scope="module")
+def solve_replay():
+    spec = importlib.util.spec_from_file_location("solve_replay", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(*solves):
+    return [{"run": "cloud_0", "subsample_sha256": "s", "solves": list(solves)}]
+
+
+def ended(cost="c", plan="p", stats=(3, 1, 0), reported=1.0):
+    return {"cost": cost, "plan": plan, "stats": list(stats), "reported": reported}
+
+
+def refused(threshold, cost="c"):
+    return {"cost": cost, "refused_at": threshold}
+
+
+@pytest.mark.parametrize(
+    "old, new, code",
+    [
+        (ended(), ended(), 0),
+        # a refusal the full solve's reported cost justifies, either way round
+        (ended(reported=1.0), refused(1.0), 0),
+        (refused(0.5), ended(reported=1.0), 0),
+        (refused(0.5), refused(0.5), 0),
+        # the full solve reported a cost below the threshold: the refused
+        # trial would have been accepted
+        (ended(reported=1.0), refused(1.0000000000000002), 1),
+        (refused(2.0), ended(reported=1.0), 1),
+        (refused(0.5), refused(0.25), 1),
+        (ended(), ended(plan="q"), 1),
+        (ended(), ended(stats=(4, 1, 0)), 1),
+        (ended(), ended(cost="d"), 1),
+        (refused(0.5), refused(0.5, cost="d"), 1),
+    ],
+)
+def test_compare_accepts_only_refusals_a_full_solve_justifies(
+    solve_replay, capsys, old, new, code
+):
+    assert solve_replay.compare(run(old), run(new)) == code
+    out = capsys.readouterr().out
+    assert ("differs: cloud_0" in out) == bool(code)
+
+
+def test_compare_requires_the_same_subsample_and_solve_sequence(solve_replay, capsys):
+    assert solve_replay.compare(run(ended()), run(ended(), refused(0.5))) == 1
+    changed = run(ended())
+    changed[0]["subsample_sha256"] = "t"
+    assert solve_replay.compare(run(ended()), changed) == 1
+    assert "subsample differs" in capsys.readouterr().out

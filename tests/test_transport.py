@@ -649,13 +649,13 @@ def test_deep_trees_match_the_neighbour_set_pivot_loop(monkeypatch):
     solves = []
     solve = transport._transport_simplex
 
-    def recording(a, b, cost, start=None):
+    def recording(a, b, cost, start=None, refuse_at=None):
         if start is not None:
             solves.append((a, b, cost, start))
         return solve(a, b, cost, start=start)
 
     # every warm swap solve of the greedy search, each started from the
-    # incumbent's tree, whose columns the trial keeps
+    # incumbent's tree, whose columns the trial keeps, solved in full
     monkeypatch.setattr(transport, "_transport_simplex", recording)
     greedy_subsample(load_measure("shifted_gauss_100"), 12)
     monkeypatch.undo()
@@ -741,6 +741,56 @@ def test_solve_stats_repeat():
     assert restart[0].tobytes() == plan.tobytes() and restart[1] is tree
 
 
+def refusal_problems():
+    """Marginals and (cost, start) pairs for the refusal contract: W2 and
+    oracle-like x p y^T costs of Gaussian, lattice-tied or duplicated
+    atoms, uniform or cubed (tiny) weights, coordinate scales 1e-4 to
+    1e4, m != n among them; each cost solved cold and warm from the
+    optimal tree of the other cost."""
+    for seed in range(120):
+        rng = np.random.default_rng(7000 + seed)
+        m, n = (int(k) for k in rng.integers(1, 13, 2))
+        dim, scale = int(rng.integers(1, 4)), 10.0 ** int(rng.integers(-4, 5))
+        mu, nu = (
+            sampled_measure(
+                rng, FAMILIES[rng.integers(3)], rng.integers(2), size, dim, scale
+            )
+            for size in (m, n)
+        )
+        x, y = mu.atoms, nu.atoms
+        costs = (sq_dists(x, y), x @ rng.standard_normal((dim, dim)) @ y.T)
+        trees = [
+            transport._transport_simplex(mu.weights, nu.weights, c)[1] for c in costs
+        ]
+        for cost, start in zip(costs * 2, (None, None, *trees[::-1])):
+            yield mu.weights, nu.weights, cost, start
+
+
+def test_a_refused_solve_would_have_reported_a_cost_at_or_above_the_threshold():
+    # None only when the full solve's reported cost reaches refuse_at, and
+    # otherwise the full solve itself, bit for bit
+    outcomes = {True: 0, False: 0}
+    for a, b, cost, start in refusal_problems():
+        full = transport._transport_simplex(a, b, cost, start=start)
+        reported = float((full[0] * cost).sum())
+        step = 1e-9 * max(abs(reported), float(np.abs(cost).max()))
+        thresholds = (
+            -np.inf, reported - step, np.nextafter(reported, -np.inf), reported,
+            np.nextafter(reported, np.inf), reported + step, np.inf,
+        )
+        for refuse_at in thresholds:
+            got = transport._transport_simplex(
+                a, b, cost, start=start, refuse_at=refuse_at
+            )
+            outcomes[got is None] += 1
+            if got is None:
+                assert reported >= refuse_at
+            else:
+                assert result_bytes(got) == result_bytes(full)
+                assert got[1].parent == full[1].parent
+    assert outcomes[True] > 500 and outcomes[False] > 1500
+
+
 def test_greedy_swap_solves_start_near_optimal(monkeypatch):
     solve = transport._transport_simplex
     eta = load_measure("shifted_gauss_100")
@@ -749,7 +799,8 @@ def test_greedy_swap_solves_start_near_optimal(monkeypatch):
     for n, max_solves in ((12, 150), (20, 230)):
         warm_pivots = []
 
-        def counting(a, b, cost, start=None):
+        # full solves, so that every warm solve's pivots count
+        def counting(a, b, cost, start=None, refuse_at=None):
             plan, tree, u, v, stats = solve(a, b, cost, start=start)
             if start is not None:
                 warm_pivots.append(stats.pivots)

@@ -5,20 +5,31 @@ Gaussian clouds (n = 16, the shape of the ``pipeline_warm`` benchmark
 op) and on the bundled ``shifted_gauss_100`` at n = 12, 20 and 30, and
 records for each run the SHA-256 of the chosen subsample's atoms and,
 for every simplex solve the search makes, the SHA-256 of its cost
-matrix and of its plan and its pivot counts (``SolveStats``). Only the
-plan and the stats of a solve's result are read, so any commit whose
-``_transport_simplex`` returns ``(plan, tree, u, v, stats)`` can be
-recorded, whatever form its tree takes.
+matrix and either
+- of a solve that ends, the SHA-256 of its plan, its pivot counts
+  (``SolveStats``) and the cost it reports, ``fl(sum(plan * cost))``; or
+- of a solve that refuses its trial (returns None because its dual
+  bound reached the ``refuse_at`` threshold it was handed), that
+  threshold.
+
+Only the plan and the stats of a solve's result are read, so any commit
+whose ``_transport_simplex`` returns ``(plan, tree, u, v, stats)`` can
+be recorded, whatever form its tree takes.
 
     python tools/solve_replay.py record OUT.json [--src DIR]
     python tools/solve_replay.py compare OUT.json [--src DIR]
 
 ``--src`` selects the ``src`` directory whose ``probframes`` is run
 (default: the one next to this script). Record at the parent commit,
-then compare at the change; ``compare`` prints every run whose
-subsample or solves differ and exits 1 if there is one. Float bits may
-differ between BLAS builds, so compare only records made on one
-machine.
+then compare at the change. Two runs agree when they choose the same
+subsample and solve the same sequence of cost matrices, and each pair
+of solves agrees: two solves that end give the same plan and pivot
+counts; two refusals have the same threshold; and a refusal is accepted
+against a solve that ends only when that solve reported a cost at or
+above the refusal's threshold, so the refused trial would have been
+refused anyway. ``compare`` prints every run that does not agree and
+exits 1 if there is one. Float bits may differ between BLAS builds, so
+compare only records made on one machine.
 """
 
 from __future__ import annotations
@@ -63,13 +74,20 @@ def replay(src: Path) -> list[dict]:
     from probframes.perturbation import greedy_subsample
 
     solve = transport._transport_simplex
-    solves: list[list] = []
+    solves: list[dict] = []
 
-    def recording(a, b, cost, start=None):
-        result = solve(a, b, cost, start=start)
+    def recording(a, b, cost, **options):
+        result = solve(a, b, cost, **options)
+        if result is None:
+            solves.append({"cost": _sha(cost), "refused_at": options["refuse_at"]})
+            return result
         plan, stats = result[0], result[4]
-        counts = [stats.pivots, stats.degenerate_pivots, stats.bland_pivots]
-        solves.append([_sha(cost), _sha(plan), counts])
+        solves.append({
+            "cost": _sha(cost),
+            "plan": _sha(plan),
+            "stats": [stats.pivots, stats.degenerate_pivots, stats.bland_pivots],
+            "reported": float((plan * cost).sum()),
+        })
         return result
 
     runs = []
@@ -83,6 +101,23 @@ def replay(src: Path) -> list[dict]:
     finally:
         transport._transport_simplex = solve
     return runs
+
+
+def _disagreement(p: dict, q: dict) -> str | None:
+    """Why two records of one solve disagree, or None when they agree."""
+    if p["cost"] != q["cost"]:
+        return "cost matrices differ"
+    if "refused_at" in p and "refused_at" in q:
+        return None if p["refused_at"] == q["refused_at"] else "thresholds differ"
+    for refusal, full in ((p, q), (q, p)):
+        if "refused_at" in refusal:
+            if full["reported"] >= refusal["refused_at"]:
+                return None
+            return (f"refused at {refusal['refused_at']!r}, but the full solve "
+                    f"reported {full['reported']!r}")
+    if (p["plan"], p["stats"]) != (q["plan"], q["stats"]):
+        return "plans or pivot counts differ"
+    return None
 
 
 def compare(old: list[dict], new: list[dict]) -> int:
@@ -100,12 +135,15 @@ def compare(old: list[dict], new: list[dict]) -> int:
         if len(o["solves"]) != len(r["solves"]):
             notes.append(f"{len(o['solves'])} -> {len(r['solves'])} solves")
         first = next(
-            (k for k, (p, q) in enumerate(zip(o["solves"], r["solves"])) if p != q),
+            (
+                (k, why)
+                for k, (p, q) in enumerate(zip(o["solves"], r["solves"]))
+                if (why := _disagreement(p, q))
+            ),
             None,
         )
         if first is not None:
-            notes.append(f"solve {first} differs first: {o['solves'][first]} -> "
-                         f"{r['solves'][first]}")
+            notes.append(f"solve {first[0]} differs first: {first[1]}")
         if notes:
             differing += 1
             print(f"differs: {r['run']}: " + "; ".join(notes))
@@ -113,7 +151,9 @@ def compare(old: list[dict], new: list[dict]) -> int:
         print(f"missing run: {name}")
         differing += 1
     total = sum(len(r["solves"]) for r in new)
-    print(f"{len(new)} runs, {total} solves, {differing} runs differ")
+    refused = sum("refused_at" in s for r in new for s in r["solves"])
+    print(f"{len(new)} runs, {total} solves ({refused} refused), "
+          f"{differing} runs differ")
     return 1 if differing else 0
 
 
@@ -128,7 +168,8 @@ def main(argv=None) -> int:
     if args.mode == "record":
         args.path.write_text(json.dumps({"runs": runs}) + "\n")
         total = sum(len(r["solves"]) for r in runs)
-        print(f"{len(runs)} runs recorded, {total} solves")
+        refused = sum("refused_at" in s for r in runs for s in r["solves"])
+        print(f"{len(runs)} runs recorded, {total} solves ({refused} refused)")
         return 0
     return compare(json.loads(args.path.read_text())["runs"], runs)
 
