@@ -103,6 +103,12 @@ def replay(src: Path) -> list[dict]:
     return runs
 
 
+def _solve_counts(runs: list[dict]) -> str:
+    total = sum(len(r["solves"]) for r in runs)
+    refused = sum("refused_at" in s for r in runs for s in r["solves"])
+    return f"{total} solves ({refused} refused)"
+
+
 def _disagreement(p: dict, q: dict) -> str | None:
     """Why two records of one solve disagree, or None when they agree."""
     if p["cost"] != q["cost"]:
@@ -150,10 +156,7 @@ def compare(old: list[dict], new: list[dict]) -> int:
     for name in before:
         print(f"missing run: {name}")
         differing += 1
-    total = sum(len(r["solves"]) for r in new)
-    refused = sum("refused_at" in s for r in new for s in r["solves"])
-    print(f"{len(new)} runs, {total} solves ({refused} refused), "
-          f"{differing} runs differ")
+    print(f"{len(new)} runs, {_solve_counts(new)}, {differing} runs differ")
     return 1 if differing else 0
 
 
@@ -167,9 +170,7 @@ def main(argv=None) -> int:
     runs = replay(args.src)
     if args.mode == "record":
         args.path.write_text(json.dumps({"runs": runs}) + "\n")
-        total = sum(len(r["solves"]) for r in runs)
-        refused = sum("refused_at" in s for r in runs for s in r["solves"])
-        print(f"{len(runs)} runs recorded, {total} solves ({refused} refused)")
+        print(f"{len(runs)} runs recorded, {_solve_counts(runs)}")
         return 0
     return compare(json.loads(args.path.read_text())["runs"], runs)
 
