@@ -210,8 +210,7 @@ def test_greedy_subsample_does_not_depend_on_the_warm_start(monkeypatch):
     warm = [greedy_subsample(eta, n).atoms for eta, n in inputs]
     solve = transport._transport_simplex
 
-    # full solves, as the search made them before it refused trials
-    # mid-solve
+    # cold full solves: a refused trial's cost is compared too
     def cold(a, b, cost, start=None, refuse_at=None):
         return solve(a, b, cost)
 
