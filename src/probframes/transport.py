@@ -377,12 +377,12 @@ def _transport_simplex(
     ones, u'_i = min_j (c_ij - v_j), which in exact arithmetic is u_i
     plus the row minimum of the reduced costs and makes (u', v) dual
     feasible, so by weak duality a.u' + b.v bounds the optimal cost from
-    below. The solve
-    stops when that bound, less the rounding margin of _dual_margin
-    (worked out only when the bound alone reaches refuse_at), reaches
-    refuse_at; a solve ending above refuse_at thus also skips its final
-    leaf elimination and certificate. A solve that does not stop
-    returns what it returns without refuse_at, bit for bit.
+    below. The solve stops when that bound, less the rounding margin of
+    _dual_margin (worked out only when the bound alone reaches
+    refuse_at), reaches refuse_at; a solve ending above refuse_at thus
+    also skips its final leaf elimination and certificate. A solve that
+    does not stop returns what it returns without refuse_at, bit for
+    bit.
     """
     m, n = cost.shape
     eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
