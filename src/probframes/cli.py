@@ -262,7 +262,7 @@ def _cmd_perturb(args):
 def _cmd_sample_dual(args):
     (name,) = _inputs(args, 1)
     mu_hat, nu_hat, report = discrete_dual_pipeline(
-        _measure(name), args.samples, seed=args.seed, a_n=args.a_n
+        _measure(name), args.samples, a_n=args.a_n
     )
     return {
         "subsample": measure_to_dict(mu_hat),
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dual", metavar="FILE")
         if name == "sample-dual":
             p.add_argument("--samples", type=int, required=True)
-            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--a-n", type=float, default=None)
     return parser
 

@@ -284,22 +284,6 @@ def matched_mixed_dual(
 # discrete sampling pipeline
 
 
-def _swap_lower_bound(a: np.ndarray, b: np.ndarray, cols: np.ndarray, v) -> float:
-    """Certified lower bound on the cost a swap trial's solve would report.
-
-    One round of coordinate ascent from the column potentials v, first
-    u = min_j (c_ij - v_j) and then v = min_i (c_ij - u_i), makes (u, v)
-    dual feasible up to rounding, so by weak LP duality a.u + b.v is at
-    most the trial's optimal cost. The margin subtracted from it, the
-    solver's own (transport._dual_margin), covers the rounding, so that
-    fl(sum(plan * cols)) as the trial's solve would report it is never
-    below the returned value.
-    """
-    u = (cols - v).min(axis=1)
-    v = (cols - u[:, None]).min(axis=0)
-    return float(a @ u) + float(b @ v) - _transport._dual_margin(a, b, cols, u, v)
-
-
 def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     """Deterministic n-point uniform approximation of a discrete measure.
 
@@ -310,19 +294,12 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     bits of the two solves. Candidates for a swap are the few nearest
     unchosen atoms.
 
-    A trial is solved only when a certified lower bound on its cost
-    leaves room to pass that test. The bound is weak LP duality: the
-    incumbent's optimal potentials, with the candidate's column priced
-    against the row potentials, are made dual feasible for the trial by
-    one round of coordinate ascent (_swap_lower_bound). A trial whose
-    bound already reaches the acceptance threshold would be refused, so
-    skipping it changes neither the order of the search nor its result.
-    A trial that is solved hands the solver the same threshold as
-    refuse_at: the solve stops with None as soon as the weak-duality
-    bound of its own potentials, less the same rounding margin, reaches
-    it (see transport._transport_simplex). Such a trial would also have
-    been refused, and an accepted trial's solve never stops early, so
-    the subsample and every accepted solve are those of full solves.
+    Each trial's solve is handed the acceptance threshold as refuse_at,
+    and stops with None as soon as a weak-duality bound on its cost, less
+    a rounding margin, reaches it (see transport._transport_simplex).
+    Such a trial would have been refused after a full solve too, and an
+    accepted trial's solve never stops early, so the subsample and every
+    accepted solve are those of full solves.
 
     A trial puts its candidate in the swapped-out atom's column and keeps
     every other column where the incumbent has it. All subsample columns
@@ -349,10 +326,10 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
         )
         if solved is None:
             return None
-        plan, tree, u, v, _ = solved
-        return float((plan * cols).sum()), tree, u, v
+        plan, tree = solved[:2]
+        return float((plan * cols).sum()), tree
 
-    best_cost, best_tree, u, v_best = solve(sq[:, best])
+    best_cost, best_tree = solve(sq[:, best])
     neighbors = 5
     for _ in range(6):
         improved = False
@@ -367,19 +344,13 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                     break
                 trial = best.copy()
                 trial[k] = int(cand)
-                cols = sq[:, trial]
-                v = v_best.copy()
-                v[k] = float((cols[:, k] - u).min())
                 threshold = best_cost * (1.0 - 1e-12)
-                if _swap_lower_bound(eta.weights, sub_weights, cols, v) >= threshold:
-                    continue
-                solved = solve(cols, start=best_tree, refuse_at=threshold)
+                solved = solve(sq[:, trial], start=best_tree, refuse_at=threshold)
                 if solved is None:
                     continue
-                cost, tree, u_trial, v_trial = solved
+                cost, tree = solved
                 if cost < threshold:
                     best, best_cost, best_tree = trial, cost, tree
-                    u, v_best = u_trial, v_trial
                     improved = True
                     break
         if not improved:

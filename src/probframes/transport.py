@@ -303,14 +303,15 @@ class SolveStats:
 
 
 def _dual_margin(a: np.ndarray, b: np.ndarray, cost: np.ndarray, u, v) -> float:
-    """Rounding margin of the weak-duality bound a.u + b.v on a solve's cost.
+    """Rounding margin of the weak-duality bound a.u + b.v on a solve's cost,
+    the one bound on which _transport_simplex refuses a trial.
 
     One of u and v must be a c-transform of the other as floats compute
-    it, the row minima of fl(c_ij - v_j) or the column minima of
-    fl(c_ij - u_i), so that (u, v) is dual feasible up to that rounding.
-    Then fl(a @ u) + fl(b @ v), less this margin, is at most
-    fl(sum(plan * cost)) for the plan leaf elimination writes from a and
-    b on any spanning tree, which is the plan a solve returns.
+    it, the row minima of fl(c_ij - v_j) (as the refusal takes them) or
+    the column minima of fl(c_ij - u_i), so that (u, v) is dual feasible
+    up to that rounding. Then fl(a @ u) + fl(b @ v), less this margin, is
+    at most fl(sum(plan * cost)) for the plan leaf elimination writes
+    from a and b on any spanning tree, which is the plan a solve returns.
     """
     m, n = cost.shape
     # With eps = 2**-53, s = max|C| + max|u| + max|v|, d = |sum a - sum b|,
@@ -357,25 +358,27 @@ def _transport_simplex(
     minimum-ratio cell with lexicographic tie-break, and the final flows
     are recomputed from the marginals on the optimal tree.
 
-    The set-up copies the start's walk down from row node 0 (each other
+    The set-up takes the start's walk down from row node 0 (each other
     node's depth and the flow on the arc to its parent, which names the
-    arc) and takes the potentials in one pass down its preorder. A pivot
-    climbs from both ends of the entering cell to their lowest common
-    ancestor, which gives the cycle. The leaving arc cuts off the subtree
-    below its child; that subtree alone is re-hung from the entering
-    arc, reversing the parent path between them, and walked for its new
-    depths. The potentials of the side holding the entering column are
-    shifted, through a mask when that is the root side. Every float
-    operation is the one a walk of the whole tree would make, so plans,
-    trees and stats are bit for bit those of the neighbour-set pivot
-    loop kept as a reference in the tests.
+    arc) and the potentials in one pass down its preorder. Pivots rewrite
+    the walk, so a start's is copied at the first pivot: a solve that
+    refuses or makes none copies nothing. A pivot climbs from both ends
+    of the entering cell to their lowest common ancestor, which gives
+    the cycle. The leaving arc cuts off the subtree below its child;
+    that subtree alone is re-hung from the entering arc, reversing the
+    parent path between them, and walked for its new depths. The
+    potentials of the side holding the entering column are shifted,
+    through a mask when that is the root side. Every float operation is
+    the one a walk of the whole tree would make, so plans, trees and
+    stats are bit for bit those of the neighbour-set pivot loop kept as
+    a reference in the tests.
 
     With refuse_at given, the solve may return None instead, but only
     once it has proved that its reported cost fl(sum(plan * cost))
-    would be at least refuse_at. At each pricing, the last one included,
-    the row potentials are replaced by the c-transform of the column
-    ones, u'_i = min_j (c_ij - v_j), which in exact arithmetic is u_i
-    plus the row minimum of the reduced costs and makes (u', v) dual
+    would be at least refuse_at. Before each pricing, the last one
+    included, the row potentials are replaced by the c-transform of the
+    column ones, u'_i = min_j (c_ij - v_j), which in exact arithmetic is
+    u_i plus the row minimum of the reduced costs and makes (u', v) dual
     feasible, so by weak duality a.u' + b.v bounds the optimal cost from
     below. The solve stops when that bound, less the rounding margin of
     _dual_margin (worked out only when the bound alone reaches
@@ -389,9 +392,7 @@ def _transport_simplex(
     tree = HungTree(_northwest_tree(a, b), a, b) if start is None else start
     if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():
         tree = HungTree(tree.parent, a, b)
-    parent, (depth, flow, nbrs, *_) = list(tree.parent), tree.walk
-    if tree is start:  # pivots rewrite the walk; a record made here is dropped
-        depth, flow, nbrs = depth[:], flow[:], [x[:] for x in nbrs]
+    parent, (depth, flow, nbrs, *_) = tree.parent, tree.walk
     pot = np.array(tree.potentials(cost))
     rows, cols = pot[:m, None], pot[None, m:]
     # a shift by delta lowers row potentials and raises column ones
@@ -405,8 +406,6 @@ def _transport_simplex(
     stalled = 0
     degenerate = bland = 0
     for pivots in range(_pivot_budget(m, n)):
-        np.subtract(cost, rows, out=reduced)
-        reduced -= cols
         if refuse_at is not None:
             v = pot[m:]
             u = np.subtract(cost, cols, out=transform).min(axis=1)
@@ -415,6 +414,8 @@ def _transport_simplex(
             if bound >= refuse_at:
                 if bound - _dual_margin(a, b, cost, u, v) >= refuse_at:
                     return None
+        np.subtract(cost, rows, out=reduced)
+        reduced -= cols
         if stalled <= stall_limit:
             flat = int(reduced.argmin())
             if reduced.item(flat) >= -eps:
@@ -427,6 +428,12 @@ def _transport_simplex(
             bland += 1
         ei, ej = divmod(flat, n)
         delta = reduced.item(flat)
+        # pivots rewrite the tree: at the first, copy the parent list and a
+        # start's walk, which other solves may share; one made here is dropped
+        if not pivots:
+            parent = list(parent)
+            if tree is start:
+                depth, flow, nbrs = depth[:], flow[:], [x[:] for x in nbrs]
 
         # climb from both ends of the entering cell (ei, ej) to their
         # lowest common ancestor. The tree path from column node m + ej to

@@ -312,82 +312,63 @@ def test_greedy_subsample_matches_the_unscreened_loop():
         assert greedy_subsample(eta, n).atoms.tobytes() == want.tobytes()
 
 
-def test_screened_swap_trials_cannot_be_accepted(monkeypatch):
-    # every trial's bound, each followed by its warm solve unless the
-    # bound screened it out; a solve either ends or refuses the trial
-    # mid-solve at the threshold it was handed
+def test_refused_swap_trials_cannot_be_accepted(monkeypatch):
+    # every solve of the search, with the threshold it was handed; a warm
+    # solve either ends or refuses the trial mid-solve at that threshold
     events = []
-    bound, solve = perturbation._swap_lower_bound, transport._transport_simplex
-
-    def bounding(a, b, cols, v):
-        lower = bound(a, b, cols, v)
-        events.append(("bound", a, b, cols, lower))
-        return lower
+    solve = transport._transport_simplex
 
     def solving(a, b, cost, start=None, refuse_at=None):
         result = solve(a, b, cost, start=start, refuse_at=refuse_at)
-        if result is None:
-            events.append(("refused", refuse_at))
-        else:
-            events.append(("solve", float((result[0] * cost).sum())))
+        events.append((a, b, cost, refuse_at, result))
         return result
 
-    monkeypatch.setattr(perturbation, "_swap_lower_bound", bounding)
     monkeypatch.setattr(transport, "_transport_simplex", solving)
-    screened = refused = 0
+    refused = 0
     for eta, n in [*swap_search_inputs(), *pipeline_clouds(1, seed=1)]:
         events.clear()
         greedy_subsample(eta, n)
         # replay the search: the first solve is the incumbent's cold one
-        (_, best_cost), rest = events[0], events[1:]
-        for k, event in enumerate(rest):
-            if event[0] != "bound":
-                continue
-            _, a, b, cols, lower = event
+        (_, _, cols, _, (plan, *_)), rest = events[0], events[1:]
+        best_cost = float((plan * cols).sum())
+        for a, b, cols, refuse_at, result in rest:
             threshold = best_cost * (1.0 - 1e-12)
-            follows = rest[k + 1] if k + 1 < len(rest) else ("bound",)
-            if follows[0] == "solve":
-                cost = follows[1]
-                assert cost >= lower
+            assert refuse_at == threshold
+            if result is not None:
+                cost = float((result[0] * cols).sum())
                 if cost < threshold:
                     best_cost = cost
                 continue
-            # screened out, or refused mid-solve: a full solve must
-            # report a cost at or above the threshold either way
-            if follows[0] == "refused":
-                refused += 1
-                assert follows[1] == threshold
-            else:
-                screened += 1
-                assert lower >= threshold
+            # refused mid-solve: a full solve must report a cost at or
+            # above the threshold
+            refused += 1
             plan = solve(a, b, cols)[0]
-            cost = float((plan * cols).sum())
-            assert cost >= lower and cost >= threshold
-    assert screened > 1000 and refused > 1000
+            assert float((plan * cols).sum()) >= threshold
+    assert refused > 5000
 
 
-def test_swap_bound_is_tight_at_each_solves_own_potentials(monkeypatch):
-    # the screen prices trials from the potentials the incumbent's solve
-    # certified; at a solve's own optimal potentials the bound must be its
-    # reported cost less the rounding margin, never more
+def test_refusal_bound_is_tight_at_each_solves_optimum(monkeypatch):
+    # a solve prices its own optimal potentials last, so handed a
+    # threshold just below the cost it reports, it refuses: the bound
+    # there is that cost less the rounding margin, never much less
     solves = []
     solve = transport._transport_simplex
 
     # full solves, refused trials included
     def recording(a, b, cost, start=None, refuse_at=None):
         result = solve(a, b, cost, start=start)
-        solves.append((a, b, cost, result))
+        solves.append((a, b, cost, start, result[0]))
         return result
 
     monkeypatch.setattr(transport, "_transport_simplex", recording)
     for eta, n in [*swap_search_inputs(), *pipeline_clouds(20)]:
         greedy_subsample(eta, n)
+    monkeypatch.undo()
     assert len(solves) > 5000
-    for a, b, cost, (plan, _, _, v, _) in solves:
+    for a, b, cost, start, plan in solves:
         reported = float((plan * cost).sum())
-        lower = perturbation._swap_lower_bound(a, b, cost, v)
-        assert lower <= reported
-        assert reported - lower <= 1e-6 * max(reported, float(cost.max()))
+        refuse_at = reported - 1e-6 * max(reported, float(cost.max()))
+        assert solve(a, b, cost, start=start, refuse_at=refuse_at) is None
 
 
 def test_pipeline_on_cloud():

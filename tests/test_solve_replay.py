@@ -1,6 +1,8 @@
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "solve_replay.py"
@@ -26,6 +28,10 @@ def refused(threshold, cost="c"):
     return {"cost": cost, "refused_at": threshold}
 
 
+def screened(lower, cost="c"):
+    return {"cost": cost, "screened_at": lower}
+
+
 @pytest.mark.parametrize(
     "old, new, code",
     [
@@ -43,6 +49,19 @@ def refused(threshold, cost="c"):
         (ended(), ended(stats=(4, 1, 0)), 1),
         (ended(), ended(cost="d"), 1),
         (refused(0.5), refused(0.5, cost="d"), 1),
+        # a trial the other side's screen refused before any solve: a
+        # refusal needs the screen's bound at or above its threshold, and
+        # a full solve must report a cost at or above that bound
+        (screened(1.0), refused(1.0), 0),
+        (screened(1.0), refused(0.5), 0),
+        (refused(0.5), screened(1.0), 0),
+        (screened(0.5), refused(1.0), 1),
+        (screened(0.9999999999999999), refused(1.0), 1),
+        (screened(0.5), ended(reported=1.0), 0),
+        (screened(1.0), ended(reported=0.5), 1),
+        (screened(0.5), screened(0.5), 0),
+        (screened(0.5), screened(0.25), 1),
+        (screened(1.0), refused(0.5, cost="d"), 1),
     ],
 )
 def test_compare_accepts_only_refusals_a_full_solve_justifies(
@@ -59,3 +78,39 @@ def test_compare_requires_the_same_subsample_and_solve_sequence(solve_replay, ca
     changed[0]["subsample_sha256"] = "t"
     assert solve_replay.compare(run(ended()), changed) == 1
     assert "subsample differs" in capsys.readouterr().out
+
+
+def test_replay_keeps_only_the_trials_a_screen_refused(solve_replay, monkeypatch):
+    # a search in the shape of one that screens its trials before solving
+    # them: the first trial passes the screen and is solved, the second
+    # is screened out
+    from probframes import perturbation, transport
+    from probframes.measures import uniform
+
+    a, b = np.full(3, 1.0 / 3), np.full(2, 0.5)
+    costs = [np.arange(6.0).reshape(3, 2) + k for k in range(3)]
+
+    def screen(a, b, cols, v):
+        return float(cols.min())
+
+    def search(eta, n):
+        transport._transport_simplex(a, b, costs[0])
+        for cols in costs[1:]:
+            lower = perturbation._swap_lower_bound(a, b, cols, None)
+            if lower < 2.0:
+                transport._transport_simplex(a, b, cols, refuse_at=1.0)
+        return eta
+
+    eta, solve = uniform(np.eye(2)), transport._transport_simplex
+    monkeypatch.setattr(solve_replay, "inputs", lambda: [("toy", eta, 2)])
+    monkeypatch.setattr(perturbation, "_swap_lower_bound", screen, raising=False)
+    monkeypatch.setattr(perturbation, "greedy_subsample", search)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    (run,) = solve_replay.replay(solve_replay.REPO_SRC)
+    kinds = [next(k for k in s if k != "cost") for s in run["solves"]]
+    assert kinds == ["plan", "refused_at", "screened_at"]
+    assert [s["cost"] for s in run["solves"]] == [solve_replay._sha(c) for c in costs]
+    assert run["solves"][2]["screened_at"] == 2.0
+    # the screen and the solver are restored
+    assert perturbation._swap_lower_bound is screen
+    assert transport._transport_simplex is solve

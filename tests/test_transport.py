@@ -794,23 +794,26 @@ def test_a_refused_solve_would_have_reported_a_cost_at_or_above_the_threshold():
 def test_greedy_swap_solves_start_near_optimal(monkeypatch):
     solve = transport._transport_simplex
     eta = load_measure("shifted_gauss_100")
-    # without the dual bound that screens out trials which cannot be
-    # accepted, the search made 220 and 379 solves, the cold one included
-    for n, max_solves in ((12, 150), (20, 230)):
+    # the search makes 222 and 388 warm solves; all but 48 and 63 of them
+    # refuse their trials on a dual bound before the end
+    for n, max_ended in ((12, 55), (20, 70)):
         warm_pivots = []
+        ended = 0
 
-        # full solves, so that every warm solve's pivots count
+        # each warm solve also solved in full, so that its pivots count
         def counting(a, b, cost, start=None, refuse_at=None):
-            plan, tree, u, v, stats = solve(a, b, cost, start=start)
+            nonlocal ended
+            result = solve(a, b, cost, start=start, refuse_at=refuse_at)
             if start is not None:
-                warm_pivots.append(stats.pivots)
-            return plan, tree, u, v, stats
+                warm_pivots.append(solve(a, b, cost, start=start)[4].pivots)
+                ended += result is not None
+            return result
 
         monkeypatch.setattr(transport, "_transport_simplex", counting)
         greedy_subsample(eta, n)
         assert len(warm_pivots) > 50
         assert sum(warm_pivots) / len(warm_pivots) <= 8.0
-        assert len(warm_pivots) + 1 <= max_solves
+        assert ended <= max_ended
 
 
 def test_simplex_out_of_pivots_is_internal_error(monkeypatch):

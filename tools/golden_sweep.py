@@ -290,7 +290,7 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["sample-dual", gen("dup_cloud_3d"), "--samples", "12"],
         ["sample-dual", gen("lattice_dup"), "--samples", "8"],
         ["sample-dual", gen("lattice_dup_skewed"), "--samples", "8"],
-        ["sample-dual", gen("cloud_2d"), "--samples", "5", "--seed", "4"],
+        ["sample-dual", gen("cloud_2d"), "--samples", "5"],
         ["pushforward", gen("cloud_2d"), "--offsets", gen("offsets_cloud")],
         ["pushforward", "axes_2d", "--offsets", gen("offsets_cloud")],
         ["approx-dual", "axes_2d", "--operator", gen("op_3d")],

@@ -2,15 +2,22 @@
 
 Runs ``probframes.perturbation.greedy_subsample`` on seeded 80-point
 Gaussian clouds (n = 16, the shape of the ``pipeline_warm`` benchmark
-op) and on the bundled ``shifted_gauss_100`` at n = 12, 20 and 30, and
-records for each run the SHA-256 of the chosen subsample's atoms and,
+op), on the bundled ``shifted_gauss_100`` at n = 12, 20 and 30 and on
+45-point clouds with repeated atoms, whose tied reduced costs make the
+pivots depend on the last bits of the pricing, and records for each run the SHA-256 of the chosen subsample's atoms and,
 for every simplex solve the search makes, the SHA-256 of its cost
 matrix and either
 - of a solve that ends, the SHA-256 of its plan, its pivot counts
   (``SolveStats``) and the cost it reports, ``fl(sum(plan * cost))``; or
 - of a solve that refuses its trial (returns None because its dual
   bound reached the ``refuse_at`` threshold it was handed), that
-  threshold.
+  threshold; or
+- of a trial that a pre-solve screen refused without a solve, the
+  screen's lower bound on its cost. Older trees screened trials with
+  ``perturbation._swap_lower_bound`` before solving them; when the
+  ``--src`` tree has it, each of its bounds is recorded, and dropped
+  again when the next solve is of the same cost matrix, so only the
+  trials it refused are left.
 
 Only the plan and the stats of a solve's result are read, so any commit
 whose ``_transport_simplex`` returns ``(plan, tree, u, v, stats)`` can
@@ -24,10 +31,12 @@ be recorded, whatever form its tree takes.
 then compare at the change. Two runs agree when they choose the same
 subsample and solve the same sequence of cost matrices, and each pair
 of solves agrees: two solves that end give the same plan and pivot
-counts; two refusals have the same threshold; and a refusal is accepted
-against a solve that ends only when that solve reported a cost at or
-above the refusal's threshold, so the refused trial would have been
-refused anyway. ``compare`` prints every run that does not agree and
+counts; two refusals, or two screened trials, have the same threshold
+or bound; a refusal or a screened trial is accepted against a solve
+that ends only when that solve reported a cost at or above the
+threshold or bound, so the trial would have been refused anyway; and a
+refusal is accepted against a screened trial only when the screen's
+bound is at or above the refusal's threshold. ``compare`` prints every run that does not agree and
 exits 1 if there is one. Float bits may differ between BLAS builds, so
 compare only records made on one machine.
 """
@@ -45,6 +54,7 @@ import numpy as np
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 CLOUDS = 10
 CLOUD_SEED = 1
+DUPLICATED_CLOUDS = 6
 
 
 def _sha(array) -> str:
@@ -54,7 +64,7 @@ def _sha(array) -> str:
 def inputs():
     """(name, measure, n) of every run."""
     from probframes.fixtures import load_measure
-    from probframes.measures import uniform
+    from probframes.measures import DiscreteMeasure, uniform
 
     rng = np.random.default_rng(CLOUD_SEED)
     for k in range(CLOUDS):
@@ -66,24 +76,43 @@ def inputs():
     eta = load_measure("shifted_gauss_100")
     for n in (12, 20, 30):
         yield f"shifted_gauss_100_n{n}", eta, n
+    # clouds with a third of their atoms repeated, under uniform or skewed
+    # weights: their swap solves meet tied reduced costs, where the last
+    # bits of the pricing decide the pivots
+    for seed in range(DUPLICATED_CLOUDS):
+        rng = np.random.default_rng(900 + seed)
+        points = rng.standard_normal((30, 2)) * 10.0 ** (seed % 3 - 1)
+        atoms = np.vstack([points, points[rng.integers(0, 30, 15)]])
+        w = rng.uniform(0.5, 1.5, len(atoms)) if seed % 2 else np.ones(len(atoms))
+        n = int(rng.integers(4, 12))
+        yield f"duplicated_{seed}", DiscreteMeasure(atoms, w / w.sum()), n
 
 
 def replay(src: Path) -> list[dict]:
     sys.path.insert(0, str(src.resolve()))
-    from probframes import transport
-    from probframes.perturbation import greedy_subsample
+    from probframes import perturbation, transport
 
     solve = transport._transport_simplex
+    screen = getattr(perturbation, "_swap_lower_bound", None)
     solves: list[dict] = []
 
+    def screening(a, b, cols, v):
+        lower = screen(a, b, cols, v)
+        solves.append({"cost": _sha(cols), "screened_at": lower})
+        return lower
+
     def recording(a, b, cost, **options):
+        sha = _sha(cost)
+        # a trial the screen let through: only its solve is kept
+        if solves and "screened_at" in solves[-1] and solves[-1]["cost"] == sha:
+            solves.pop()
         result = solve(a, b, cost, **options)
         if result is None:
-            solves.append({"cost": _sha(cost), "refused_at": options["refuse_at"]})
+            solves.append({"cost": sha, "refused_at": options["refuse_at"]})
             return result
         plan, stats = result[0], result[4]
         solves.append({
-            "cost": _sha(cost),
+            "cost": sha,
             "plan": _sha(plan),
             "stats": [stats.pivots, stats.degenerate_pivots, stats.bland_pivots],
             "reported": float((plan * cost).sum()),
@@ -92,38 +121,56 @@ def replay(src: Path) -> list[dict]:
 
     runs = []
     transport._transport_simplex = recording
+    if screen is not None:
+        perturbation._swap_lower_bound = screening
     try:
         for name, eta, n in inputs():
             solves = []
-            chosen = greedy_subsample(eta, n)
+            chosen = perturbation.greedy_subsample(eta, n)
             runs.append({"run": name, "subsample_sha256": _sha(chosen.atoms),
                          "solves": solves})
     finally:
         transport._transport_simplex = solve
+        if screen is not None:
+            perturbation._swap_lower_bound = screen
     return runs
 
 
+# what a record of one trial holds, the strongest evidence of its cost
+# first: the cost a full solve reported, a screen's certified lower bound
+# on it, the threshold at which a solve refused it
+KINDS = ("reported", "screened_at", "refused_at")
+
+
+def _kind(entry: dict) -> str:
+    return next(k for k in KINDS if k in entry)
+
+
 def _solve_counts(runs: list[dict]) -> str:
-    total = sum(len(r["solves"]) for r in runs)
-    refused = sum("refused_at" in s for r in runs for s in r["solves"])
-    return f"{total} solves ({refused} refused)"
+    kinds = [_kind(s) for r in runs for s in r["solves"]]
+    screened, refused = kinds.count("screened_at"), kinds.count("refused_at")
+    return (f"{len(kinds) - screened} solves ({refused} refused), "
+            f"{screened} trials screened")
 
 
 def _disagreement(p: dict, q: dict) -> str | None:
     """Why two records of one solve disagree, or None when they agree."""
     if p["cost"] != q["cost"]:
         return "cost matrices differ"
-    if "refused_at" in p and "refused_at" in q:
-        return None if p["refused_at"] == q["refused_at"] else "thresholds differ"
-    for refusal, full in ((p, q), (q, p)):
-        if "refused_at" in refusal:
-            if full["reported"] >= refusal["refused_at"]:
-                return None
-            return (f"refused at {refusal['refused_at']!r}, but the full solve "
-                    f"reported {full['reported']!r}")
-    if (p["plan"], p["stats"]) != (q["plan"], q["stats"]):
-        return "plans or pivot counts differ"
-    return None
+    (strong, ks), (weak, kw) = sorted(
+        ((p, _kind(p)), (q, _kind(q))), key=lambda entry: KINDS.index(entry[1])
+    )
+    if ks == kw == "reported":
+        if (p["plan"], p["stats"]) != (q["plan"], q["stats"]):
+            return "plans or pivot counts differ"
+        return None
+    if ks == kw:
+        return None if p[ks] == q[ks] else "thresholds differ"
+    # the weaker record is justified only by a cost or bound at or above it
+    if strong[ks] >= weak[kw]:
+        return None
+    what = "the full solve reported" if ks == "reported" else "the screen's bound was"
+    return f"{kw.replace('_', ' ')} {weak[kw]!r}, but {what} {strong[ks]!r}"
 
 
 def compare(old: list[dict], new: list[dict]) -> int:
