@@ -4,9 +4,9 @@ Runs ``probframes.perturbation.greedy_subsample`` on seeded 80-point
 Gaussian clouds (n = 16, the shape of the ``pipeline_warm`` benchmark
 op), on the bundled ``shifted_gauss_100`` at n = 12, 20 and 30 and on
 45-point clouds with repeated atoms, whose tied reduced costs make the
-pivots depend on the last bits of the pricing, and records for each run the SHA-256 of the chosen subsample's atoms and,
-for every simplex solve the search makes, the SHA-256 of its cost
-matrix and either
+pivots depend on the last bits of the pricing. It records for each run
+the SHA-256 of the chosen subsample's atoms and, for every simplex
+solve the search makes, the SHA-256 of its cost matrix and either
 - of a solve that ends, the SHA-256 of its plan, its pivot counts
   (``SolveStats``) and the cost it reports, ``fl(sum(plan * cost))``; or
 - of a solve that refuses its trial (returns None because its dual
@@ -36,9 +36,10 @@ or bound; a refusal or a screened trial is accepted against a solve
 that ends only when that solve reported a cost at or above the
 threshold or bound, so the trial would have been refused anyway; and a
 refusal is accepted against a screened trial only when the screen's
-bound is at or above the refusal's threshold. ``compare`` prints every run that does not agree and
-exits 1 if there is one. Float bits may differ between BLAS builds, so
-compare only records made on one machine.
+bound is at or above the refusal's threshold. ``compare`` prints every
+run that does not agree and exits 1 if there is one. Float bits may
+differ between BLAS builds, so compare only records made on one
+machine.
 """
 
 from __future__ import annotations
