@@ -304,8 +304,8 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     A trial puts its candidate in the swapped-out atom's column and keeps
     every other column where the incumbent has it. All subsample columns
     weigh 1/n, so the incumbent's optimal tree is a feasible warm start
-    for the trial as it stands, and its potentials are the trial's but
-    for the candidate's column, the only one with new costs.
+    for the trial as it stands, whose costs differ from the incumbent's
+    only in the candidate's column.
     """
     atoms = eta.atoms
     if n >= eta.size:
@@ -319,17 +319,9 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
         chosen.append(nxt)
         np.minimum(min_dist, sq[nxt], out=min_dist)
     best = sorted(chosen)
-
-    def solve(cols, start=None, refuse_at=None):
-        solved = _transport._transport_simplex(
-            eta.weights, sub_weights, cols, start=start, refuse_at=refuse_at
-        )
-        if solved is None:
-            return None
-        plan, tree = solved[:2]
-        return float((plan * cols).sum()), tree
-
-    best_cost, best_tree = solve(sq[:, best])
+    best_tree, best_cost, _ = _transport._transport_simplex(
+        eta.weights, sub_weights, sq[:, best]
+    )
     neighbors = 5
     for _ in range(6):
         improved = False
@@ -345,10 +337,16 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                 trial = best.copy()
                 trial[k] = int(cand)
                 threshold = best_cost * (1.0 - 1e-12)
-                solved = solve(sq[:, trial], start=best_tree, refuse_at=threshold)
+                solved = _transport._transport_simplex(
+                    eta.weights,
+                    sub_weights,
+                    sq[:, trial],
+                    start=best_tree,
+                    refuse_at=threshold,
+                )
                 if solved is None:
                     continue
-                cost, tree = solved
+                tree, cost, _ = solved
                 if cost < threshold:
                     best, best_cost, best_tree = trial, cost, tree
                     improved = True

@@ -306,19 +306,19 @@ def _dual_margin(a: np.ndarray, b: np.ndarray, cost: np.ndarray, u, v) -> float:
     """Rounding margin of the weak-duality bound a.u + b.v on a solve's cost,
     the one bound on which _transport_simplex refuses a trial.
 
-    One of u and v must be a c-transform of the other as floats compute
-    it, the row minima of fl(c_ij - v_j) (as the refusal takes them) or
-    the column minima of fl(c_ij - u_i), so that (u, v) is dual feasible
-    up to that rounding. Then fl(a @ u) + fl(b @ v), less this margin, is
-    at most fl(sum(plan * cost)) for the plan leaf elimination writes
-    from a and b on any spanning tree, which is the plan a solve returns.
+    u must be the c-transform of v as floats compute it, the row minima
+    of fl(c_ij - v_j), so that (u, v) is dual feasible up to that
+    rounding. Then fl(a @ u) + fl(b @ v), less this margin, is at most
+    the cost a solve returns, fl(sum(plan * cost)) for the plan leaf
+    elimination writes from a and b on its spanning tree, whichever tree
+    that is.
     """
     m, n = cost.shape
     # With eps = 2**-53, s = max|C| + max|u| + max|v|, d = |sum a - sum b|,
     # M = max(1, sum a, sum b) and r, q the row and column sums of the
     # solve's plan P >= 0, whose mass is M up to rounding:
-    # - the c-transform's minimum is some fl(c_ij - w), which is at most
-    #   c_ij - w + eps |c_ij - w| in every cell, so u_i + v_j - c_ij <= eps s
+    # - the c-transform's minimum is some fl(c_ij - v_j), which is at most
+    #   c_ij - v_j + eps |c_ij - v_j| in every cell, so u_i + v_j - c_ij <= eps s
     #   and sum P C >= r.u + q.v - eps s M.
     # - leaf elimination leaves each node's marginal off by the rounding
     #   of its own sum, at most 2 deg eps times its mass, 2 (m + n) eps M
@@ -340,13 +340,13 @@ def _dual_margin(a: np.ndarray, b: np.ndarray, cost: np.ndarray, u, v) -> float:
 
 def _transport_simplex(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None, refuse_at=None
-) -> tuple[np.ndarray, HungTree, np.ndarray, np.ndarray, SolveStats] | None:
+) -> tuple[HungTree, float, SolveStats] | None:
     """Minimize <cost, plan> over the transportation polytope.
 
-    Returns (plan, tree, u, v, stats): the plan certified optimal by
-    _certify, tree its optimal spanning tree as a HungTree holding that
-    plan, u and v the row and column potentials the certificate checked,
-    which are tight on the tree, and stats the pivot counts. A tree
+    Returns (tree, cost, stats): tree the optimal spanning tree as a
+    HungTree, whose read-only plan _certify certified optimal against
+    potentials tight on the tree, cost that plan's cost
+    fl(sum(plan * cost)), and stats the pivot counts. A tree
     optimal for one cost matrix is a feasible start for any cost matrix
     with the same marginals; one made for others is rebuilt from its
     parent list, and one that does not span this problem or needs
@@ -374,13 +374,13 @@ def _transport_simplex(
     a reference in the tests.
 
     With refuse_at given, the solve may return None instead, but only
-    once it has proved that its reported cost fl(sum(plan * cost))
-    would be at least refuse_at. Before each pricing, the last one
-    included, the row potentials are replaced by the c-transform of the
-    column ones, u'_i = min_j (c_ij - v_j), which in exact arithmetic is
-    u_i plus the row minimum of the reduced costs and makes (u', v) dual
-    feasible, so by weak duality a.u' + b.v bounds the optimal cost from
-    below. The solve stops when that bound, less the rounding margin of
+    once it has proved that the cost it would return is at least
+    refuse_at. Before each pricing, the last one included, the row
+    potentials are replaced by the c-transform of the column ones,
+    u'_i = min_j (c_ij - v_j), which in exact arithmetic is u_i plus the
+    row minimum of the reduced costs and makes (u', v) dual feasible, so
+    by weak duality a.u' + b.v bounds the optimal cost from below. The
+    solve stops when that bound, less the rounding margin of
     _dual_margin (worked out only when the bound alone reaches
     refuse_at), reaches refuse_at; a solve ending above refuse_at thus
     also skips its final leaf elimination and certificate. A solve that
@@ -395,26 +395,22 @@ def _transport_simplex(
     parent, (depth, flow, nbrs, *_) = tree.parent, tree.walk
     pot = np.array(tree.potentials(cost))
     rows, cols = pot[:m, None], pot[None, m:]
-    # a shift by delta lowers row potentials and raises column ones
-    sign = np.ones(m + n)
-    sign[m:] = -1.0
-    side = np.empty(m + n, dtype=bool)
-
-    reduced = np.empty_like(cost)
-    transform = np.empty_like(cost)
+    # made at first use, so a solve refusing at once makes no reduced costs
+    reduced = transform = None
     stall_limit = 30 + (m + n) // 2
     stalled = 0
     degenerate = bland = 0
     for pivots in range(_pivot_budget(m, n)):
         if refuse_at is not None:
             v = pot[m:]
-            u = np.subtract(cost, cols, out=transform).min(axis=1)
+            transform = np.subtract(cost, cols, out=transform)
+            u = transform.min(axis=1)
             bound = float(a @ u) + float(b @ v)
             # the margin's maxima are worked out only when they can matter
             if bound >= refuse_at:
                 if bound - _dual_margin(a, b, cost, u, v) >= refuse_at:
                     return None
-        np.subtract(cost, rows, out=reduced)
+        reduced = np.subtract(cost, rows, out=reduced)
         reduced -= cols
         if stalled <= stall_limit:
             flat = int(reduced.argmin())
@@ -432,6 +428,10 @@ def _transport_simplex(
         # start's walk, which other solves may share; one made here is dropped
         if not pivots:
             parent = list(parent)
+            # a shift by delta lowers row potentials and raises column ones
+            sign = np.ones(m + n)
+            sign[m:] = -1.0
+            side = np.empty(m + n, dtype=bool)
             if tree is start:
                 depth, flow, nbrs = depth[:], flow[:], [x[:] for x in nbrs]
 
@@ -505,9 +505,8 @@ def _transport_simplex(
     # with no pivot the tree is the start's record, plan and all
     if pivots:
         tree = HungTree(parent, a, b)
-    plan, u, v = tree.plan, pot[:m], pot[m:]
-    _certify(plan, u, v, cost)
-    return plan, tree, u, v, SolveStats(pivots, degenerate, bland)
+    _certify(tree.plan, pot[:m], pot[m:], cost)
+    return tree, float((tree.plan * cost).sum()), SolveStats(pivots, degenerate, bland)
 
 
 def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
@@ -525,11 +524,11 @@ def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
 
 def solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact Wasserstein-2 distance and an optimal plan."""
-    d = sq_dists(mu.atoms, nu.atoms)
-    plan = _transport_simplex(mu.weights, nu.weights, d)[0]
-    cost = float((plan * d).sum())
+    tree, cost, _ = _transport_simplex(
+        mu.weights, nu.weights, sq_dists(mu.atoms, nu.atoms)
+    )
     return TransportResult(
-        cost=cost, w2=math.sqrt(max(cost, 0.0)), plan=Coupling(mu, nu, plan)
+        cost=cost, w2=math.sqrt(max(cost, 0.0)), plan=Coupling(mu, nu, tree.plan)
     )
 
 
@@ -685,10 +684,10 @@ def optimize_mixed_operator(
     for iterations in range(1, iters + 1):
         norm2 = float(p @ p)
         residuals.append(math.sqrt(norm2))
-        vertex, tree = _transport_simplex(
+        tree = _transport_simplex(
             mu.weights, nu.weights, x @ p.reshape(t_mat.shape) @ y.T, start=tree
-        )[:2]
-        z = point(vertex)
+        )[0]
+        z = point(tree.plan)
         gap = norm2 - float(p @ z)
         candidates = np.vstack([points, z])
         scale = float(np.einsum("ij,ij->i", candidates, candidates).max())
@@ -702,7 +701,7 @@ def optimize_mixed_operator(
         trial_p = lam @ candidates[keep]
         if float(trial_p @ trial_p) >= norm2:
             break
-        plans.append(vertex)
+        plans.append(tree.plan)
         plans = [plans[k] for k in keep]
         points, weights, p = candidates[keep], lam, trial_p
     plan = sum(w * q for w, q in zip(weights, plans))

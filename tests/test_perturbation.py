@@ -238,10 +238,10 @@ def unscreened_greedy_subsample(eta, n):
     best = sorted(chosen)
 
     def exact_cost(cols, start=None):
-        plan, tree, _, _, _ = transport._transport_simplex(
+        tree, _, _ = transport._transport_simplex(
             eta.weights, sub_weights, cols, start=start
         )
-        return float((plan * cols).sum()), tree
+        return float((tree.plan * cols).sum()), tree
 
     best_cost, best_tree = exact_cost(sq[:, best])
     for _ in range(6):
@@ -329,20 +329,20 @@ def test_refused_swap_trials_cannot_be_accepted(monkeypatch):
         events.clear()
         greedy_subsample(eta, n)
         # replay the search: the first solve is the incumbent's cold one
-        (_, _, cols, _, (plan, *_)), rest = events[0], events[1:]
-        best_cost = float((plan * cols).sum())
+        (_, _, cols, _, (tree, *_)), rest = events[0], events[1:]
+        best_cost = float((tree.plan * cols).sum())
         for a, b, cols, refuse_at, result in rest:
             threshold = best_cost * (1.0 - 1e-12)
             assert refuse_at == threshold
             if result is not None:
-                cost = float((result[0] * cols).sum())
+                cost = float((result[0].plan * cols).sum())
                 if cost < threshold:
                     best_cost = cost
                 continue
             # refused mid-solve: a full solve must report a cost at or
             # above the threshold
             refused += 1
-            plan = solve(a, b, cols)[0]
+            plan = solve(a, b, cols)[0].plan
             assert float((plan * cols).sum()) >= threshold
     assert refused > 5000
 
@@ -357,7 +357,7 @@ def test_refusal_bound_is_tight_at_each_solves_optimum(monkeypatch):
     # full solves, refused trials included
     def recording(a, b, cost, start=None, refuse_at=None):
         result = solve(a, b, cost, start=start)
-        solves.append((a, b, cost, start, result[0]))
+        solves.append((a, b, cost, start, result[0].plan))
         return result
 
     monkeypatch.setattr(transport, "_transport_simplex", recording)

@@ -28,10 +28,6 @@ def refused(threshold, cost="c"):
     return {"cost": cost, "refused_at": threshold}
 
 
-def screened(lower, cost="c"):
-    return {"cost": cost, "screened_at": lower}
-
-
 @pytest.mark.parametrize(
     "old, new, code",
     [
@@ -49,19 +45,6 @@ def screened(lower, cost="c"):
         (ended(), ended(stats=(4, 1, 0)), 1),
         (ended(), ended(cost="d"), 1),
         (refused(0.5), refused(0.5, cost="d"), 1),
-        # a trial the other side's screen refused before any solve: a
-        # refusal needs the screen's bound at or above its threshold, and
-        # a full solve must report a cost at or above that bound
-        (screened(1.0), refused(1.0), 0),
-        (screened(1.0), refused(0.5), 0),
-        (refused(0.5), screened(1.0), 0),
-        (screened(0.5), refused(1.0), 1),
-        (screened(0.9999999999999999), refused(1.0), 1),
-        (screened(0.5), ended(reported=1.0), 0),
-        (screened(1.0), ended(reported=0.5), 1),
-        (screened(0.5), screened(0.5), 0),
-        (screened(0.5), screened(0.25), 1),
-        (screened(1.0), refused(0.5, cost="d"), 1),
     ],
 )
 def test_compare_accepts_only_refusals_a_full_solve_justifies(
@@ -80,37 +63,34 @@ def test_compare_requires_the_same_subsample_and_solve_sequence(solve_replay, ca
     assert "subsample differs" in capsys.readouterr().out
 
 
-def test_replay_keeps_only_the_trials_a_screen_refused(solve_replay, monkeypatch):
-    # a search in the shape of one that screens its trials before solving
-    # them: the first trial passes the screen and is solved, the second
-    # is screened out
+def test_replay_records_each_solve_and_restores_the_solver(solve_replay, monkeypatch):
+    # a search in the shape of the greedy one: a cold solve, then warm
+    # solves handed a threshold, one of which refuses its trial
     from probframes import perturbation, transport
     from probframes.measures import uniform
 
     a, b = np.full(3, 1.0 / 3), np.full(2, 0.5)
     costs = [np.arange(6.0).reshape(3, 2) + k for k in range(3)]
 
-    def screen(a, b, cols, v):
-        return float(cols.min())
-
     def search(eta, n):
-        transport._transport_simplex(a, b, costs[0])
-        for cols in costs[1:]:
-            lower = perturbation._swap_lower_bound(a, b, cols, None)
-            if lower < 2.0:
-                transport._transport_simplex(a, b, cols, refuse_at=1.0)
+        tree = transport._transport_simplex(a, b, costs[0])[0]
+        # no cost reaches an infinite threshold, and every one a negative one
+        for cols, refuse_at in zip(costs[1:], (np.inf, -np.inf)):
+            transport._transport_simplex(a, b, cols, start=tree, refuse_at=refuse_at)
         return eta
 
     eta, solve = uniform(np.eye(2)), transport._transport_simplex
     monkeypatch.setattr(solve_replay, "inputs", lambda: [("toy", eta, 2)])
-    monkeypatch.setattr(perturbation, "_swap_lower_bound", screen, raising=False)
     monkeypatch.setattr(perturbation, "greedy_subsample", search)
     monkeypatch.setattr(sys, "path", list(sys.path))
     (run,) = solve_replay.replay(solve_replay.REPO_SRC)
-    kinds = [next(k for k in s if k != "cost") for s in run["solves"]]
-    assert kinds == ["plan", "refused_at", "screened_at"]
+    kinds = [solve_replay._kind(s) for s in run["solves"]]
+    assert kinds == ["reported", "reported", "refused_at"]
     assert [s["cost"] for s in run["solves"]] == [solve_replay._sha(c) for c in costs]
-    assert run["solves"][2]["screened_at"] == 2.0
-    # the screen and the solver are restored
-    assert perturbation._swap_lower_bound is screen
+    # the reported cost is worked out from the recorded plan
+    tree = solve(a, b, costs[0])[0]
+    assert run["solves"][0]["plan"] == solve_replay._sha(tree.plan)
+    assert run["solves"][0]["reported"] == float((tree.plan * costs[0]).sum())
+    assert run["solves"][2]["refused_at"] == -np.inf
+    # the solver is restored
     assert transport._transport_simplex is solve

@@ -214,9 +214,9 @@ def test_simplex_rejects_start_trees_that_do_not_fit():
     # rows 0 and 1 are nodes 0 and 1, columns 0 and 1 are nodes 2 and 3
     a, b = np.array([0.2, 0.8]), np.array([0.7, 0.3])
     cost = np.array([[0.0, 1.0], [2.0, 0.5]])
-    plan, tree, _, _, _ = transport._transport_simplex(a, b, cost)
-    again, same, _, _, _ = transport._transport_simplex(a, b, cost + 1.0, start=tree)
-    assert np.array_equal(again, plan) and same is tree
+    tree, _, _ = transport._transport_simplex(a, b, cost)
+    same, _, _ = transport._transport_simplex(a, b, cost + 1.0, start=tree)
+    assert same is tree
     # a record is built from a parent list through the one constructor,
     # which rejects every list that does not fit
     for start in (
@@ -246,8 +246,8 @@ def test_simplex_rejects_start_trees_that_do_not_fit():
     # a 3 x 2 problem's tree has the length of a 2 x 3 problem's, but
     # joins nodes of one side there, and the other way round
     c = np.array([0.5, 0.3, 0.2])
-    tall = transport._transport_simplex(c, b, np.ones((3, 2)))[1]
-    wide = transport._transport_simplex(b, c, np.ones((2, 3)))[1]
+    tall = transport._transport_simplex(c, b, np.ones((3, 2)))[0]
+    wide = transport._transport_simplex(b, c, np.ones((2, 3)))[0]
     for start, rows, cols in ((tall, b, c), (wide, c, b)):
         with pytest.raises(InternalInvariantError, match="not spanning"):
             transport._transport_simplex(
@@ -259,6 +259,7 @@ def test_simplex_rejects_start_trees_that_do_not_fit():
 
 def test_a_start_made_for_other_marginals_is_rebuilt_for_the_new_ones():
     rng = np.random.default_rng(5)
+    solve = transport._transport_simplex
     fitted = rejected = 0
     for _ in range(60):
         m, n = (int(k) for k in rng.integers(2, 9, 2))
@@ -268,18 +269,18 @@ def test_a_start_made_for_other_marginals_is_rebuilt_for_the_new_ones():
         a, b = a0 * rng.uniform(0.8, 1.2, m), b0 * rng.uniform(0.8, 1.2, n)
         a, b = a / a.sum(), b / b.sum()
         cost = rng.standard_normal((m, n))
-        made = transport._transport_simplex(a0, b0, cost)[1]
+        made = solve(a0, b0, cost)[0]
         try:
             rebuilt = transport.HungTree(made.parent, a, b)
         except InternalInvariantError:
             with pytest.raises(InternalInvariantError, match="nonnegative flows"):
-                transport._transport_simplex(a, b, cost, start=made)
+                solve(a, b, cost, start=made)
             rejected += 1
             continue
-        want = result_bytes(transport._transport_simplex(a, b, cost, start=rebuilt))
-        got = transport._transport_simplex(a, b, cost, start=made)
+        want = result_bytes(certified(solve, a, b, cost, start=rebuilt))
+        got = certified(solve, a, b, cost, start=made)
         assert result_bytes(got) == want
-        assert got[1] is not made and got[1].a.tobytes() == a.tobytes()
+        assert got[0] is not made and got[0].a.tobytes() == a.tobytes()
         fitted += 1
     assert fitted > 20 and rejected > 20
 
@@ -403,7 +404,7 @@ def test_tree_flows_match_neighbour_sets():
         a = np.full(size, 1.0 / size)
         b = np.full(size + 1, 1.0 / (size + 1))
         cost = rng.integers(0, 3, (size, size + 1)).astype(float)
-        tree = transport._transport_simplex(a, b, cost)[1].parent
+        tree = transport._transport_simplex(a, b, cost)[0].parent
         adj = arc_neighbours(size, size + 1, tree_arcs(size, tree))
         want = neighbour_set_flows(size, size + 1, adj, a, b)
         got = transport._tree_flows(size, size + 1, tree, a, b)
@@ -429,10 +430,10 @@ def test_plans_have_no_negative_zeros():
     # a zero flow summed as -0.0 used to reach the plan and print as -0
     for seed in range(400):
         a, b, cost = tied_lattice_problem(seed)
-        plan, tree, _, _, _ = transport._transport_simplex(a, b, cost)
-        assert not np.signbit(plan).any()
+        tree, _, _ = transport._transport_simplex(a, b, cost)
+        assert not np.signbit(tree.plan).any()
         warm = transport._transport_simplex(a, b, cost[::-1].copy(), start=tree)[0]
-        assert not np.signbit(warm).any()
+        assert not np.signbit(warm.plan).any()
     mu = load_measure("shifted_gauss_100")
     plan = solve_w2(mu, mu).plan.plan
     assert not np.signbit(plan).any() and "-" not in dumps(plan.tolist())
@@ -465,18 +466,20 @@ def neighbour_set_duals(m, n, adj, cost):
     return u, v
 
 
-ReferenceTree = namedtuple("ReferenceTree", "parent")
+ReferenceTree = namedtuple("ReferenceTree", "parent plan")
 
 
 def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     """The pivot loop with its own path and component searches over
     neighbour sets, as the solver ran before it kept a rooted tree: the
-    reference for bit-identical plans, trees, potentials and stats. It
-    turns its start and final tree between parent lists and cells with
-    tree_arcs and parent_list, and its set-up and final flows come from
-    neighbour_set_flows, so it shares no tree code with the solver but
-    the northwest corner start; its trees are ReferenceTree records
-    holding only their parent list. pivots_seen, if given, collects
+    reference for bit-identical plans, trees, costs, potentials and
+    stats. It turns its start and final tree between parent lists and
+    cells with tree_arcs and parent_list, and its set-up and final flows
+    come from neighbour_set_flows, so it shares no tree code with the
+    solver but the northwest corner start; its trees are ReferenceTree
+    records holding only their parent list and plan. It hands its
+    potentials to transport._certify as the solver does, where certified
+    reads them. pivots_seen, if given, collects
     (cycle length, nodes cut off from row node 0, whether the shifted
     component holds row node 0) for every pivot."""
     m, n = cost.shape
@@ -558,8 +561,9 @@ def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     flows = neighbour_set_flows(m, n, adj, a, b)
     plan = flows_plan(m, n, flows)
     transport._certify(plan, u, v, cost)
-    tree = ReferenceTree(tuple(parent_list(m, n, list(flows))))
-    return plan, tree, u, v, transport.SolveStats(pivots, degenerate, bland)
+    tree = ReferenceTree(tuple(parent_list(m, n, list(flows))), plan)
+    stats = transport.SolveStats(pivots, degenerate, bland)
+    return tree, float((plan * cost).sum()), stats
 
 
 def seeded_transport_problem(seed):
@@ -586,21 +590,42 @@ def warm_problem(mu, nu):
     return mu.weights, nu.weights, cost, other
 
 
+def certified(solve, *args, **options):
+    """solve(*args, **options) with the potentials it handed to
+    transport._certify: (tree, cost, stats, u, v), or None if it refused."""
+    check, seen = transport._certify, []
+
+    def capture(plan, u, v, cost):
+        seen.append((u.copy(), v.copy()))
+        check(plan, u, v, cost)
+
+    transport._certify = capture
+    try:
+        result = solve(*args, **options)
+    finally:
+        transport._certify = check
+    return None if result is None else (*result, *seen[-1])
+
+
 def result_bytes(result):
-    """(plan bytes, sorted tree cells, u bytes, v bytes, stats) of a
-    simplex solve, whose tree's parent list is hung from row node 0."""
-    plan, tree, u, v, stats = result
+    """(plan bytes, sorted tree cells, cost bits, u bytes, v bytes, stats)
+    of a certified simplex solve, whose tree's parent list is hung from
+    row node 0."""
+    tree, cost, stats, u, v = result
     assert tree.parent[0] == -1
-    arcs = tree_arcs(plan.shape[0], tree.parent)
-    return plan.tobytes(), arcs, u.tobytes(), v.tobytes(), astuple(stats)
+    arcs = tree_arcs(tree.plan.shape[0], tree.parent)
+    return (
+        tree.plan.tobytes(), arcs, cost.hex(), u.tobytes(), v.tobytes(), astuple(stats)
+    )
 
 
 def cold_then_warm(solve, problem):
     """result_bytes of a cold solve and of a warm solve of the second
     cost from the cold solve's tree."""
     a, b, cost, other = problem
-    cold = solve(a, b, cost)
-    return [result_bytes(cold), result_bytes(solve(a, b, other, start=cold[1]))]
+    cold = certified(solve, a, b, cost)
+    warm = certified(solve, a, b, other, start=cold[0])
+    return [result_bytes(cold), result_bytes(warm)]
 
 
 def test_simplex_matches_the_neighbour_set_pivot_loop():
@@ -661,8 +686,9 @@ def test_deep_trees_match_the_neighbour_set_pivot_loop(monkeypatch):
     monkeypatch.undo()
     assert len(solves) > 50
     for a, b, cost, start in solves:
-        want = neighbour_set_simplex(a, b, cost, start, pivots_seen)
-        assert result_bytes(solve(a, b, cost, start=start)) == result_bytes(want)
+        want = certified(neighbour_set_simplex, a, b, cost, start, pivots_seen)
+        got = certified(solve, a, b, cost, start=start)
+        assert result_bytes(got) == result_bytes(want)
     # cold solves, and warm ones with the target atoms reversed
     rng = np.random.default_rng(60)
     for m, n in ((60, 150), (150, 60), (100, 100)):
@@ -695,6 +721,9 @@ def test_reference_comparisons_catch_mutated_walks(monkeypatch):
     flipped = mutated_transport(
         monkeypatch, "cycle[::2], cycle[1::2]", "cycle[1::2], cycle[::2]"
     )
+    # the mutant certifies through transport._certify, where certified
+    # reads its potentials
+    monkeypatch.setattr(flipped, "_certify", lambda *args: transport._certify(*args))
     for seed in range(3):
         rng = np.random.default_rng(seed)
         problem = warm_problem(random_measure(rng, 2, 3), random_measure(rng, 2, 4))
@@ -716,6 +745,14 @@ def test_reference_comparisons_catch_mutated_walks(monkeypatch):
     )
 
 
+def reports_its_plans_cost(result, cost):
+    """Whether a solve returned its tree's plan's cost fl(sum(plan * cost)),
+    bit for bit, as a float."""
+    tree, reported, *_ = result
+    want = float((tree.plan * cost).sum())
+    return type(reported) is float and reported.hex() == want.hex()
+
+
 def test_solve_stats_repeat():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -724,21 +761,26 @@ def test_solve_stats_repeat():
         cost = sq_dists(mu.atoms, nu.atoms)
         first = transport._transport_simplex(mu.weights, nu.weights, cost)
         again = transport._transport_simplex(mu.weights, nu.weights, cost)
-        assert first[4] == again[4]
-        assert 0 <= first[4].degenerate_pivots <= first[4].pivots
-        assert 0 <= first[4].bland_pivots <= first[4].pivots
+        assert first[2] == again[2]
+        assert 0 <= first[2].degenerate_pivots <= first[2].pivots
+        assert 0 <= first[2].bland_pivots <= first[2].pivots
+        flipped = cost[::-1, ::-1].copy()
         warm = transport._transport_simplex(
-            mu.weights, nu.weights, cost[::-1, ::-1].copy(), start=first[1]
+            mu.weights, nu.weights, flipped, start=first[0]
         )
-        assert warm[4] == transport._transport_simplex(
-            mu.weights, nu.weights, cost[::-1, ::-1].copy(), start=first[1]
-        )[4]
+        assert warm[2] == transport._transport_simplex(
+            mu.weights, nu.weights, flipped, start=first[0]
+        )[2]
+        # the returned cost is the plan's, cold and warm
+        assert reports_its_plans_cost(first, cost)
+        assert reports_its_plans_cost(warm, flipped)
     # an optimal start needs no pivot, and the flows of its set-up are
     # the final flows of the cold solve
-    plan, tree, _, _, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
+    tree, reported, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
     restart = transport._transport_simplex(mu.weights, nu.weights, cost, start=tree)
-    assert restart[4] == transport.SolveStats(0, 0, 0)
-    assert restart[0].tobytes() == plan.tobytes() and restart[1] is tree
+    assert restart[2] == transport.SolveStats(0, 0, 0)
+    assert restart[0].plan.tobytes() == tree.plan.tobytes() and restart[0] is tree
+    assert reports_its_plans_cost(restart, cost) and restart[1] == reported
 
 
 def refusal_problems():
@@ -760,34 +802,34 @@ def refusal_problems():
         x, y = mu.atoms, nu.atoms
         costs = (sq_dists(x, y), x @ rng.standard_normal((dim, dim)) @ y.T)
         trees = [
-            transport._transport_simplex(mu.weights, nu.weights, c)[1] for c in costs
+            transport._transport_simplex(mu.weights, nu.weights, c)[0] for c in costs
         ]
         for cost, start in zip(costs * 2, (None, None, *trees[::-1])):
             yield mu.weights, nu.weights, cost, start
 
 
 def test_a_refused_solve_would_have_reported_a_cost_at_or_above_the_threshold():
-    # None only when the full solve's reported cost reaches refuse_at, and
-    # otherwise the full solve itself, bit for bit
+    # None only when the cost the full solve returns reaches refuse_at,
+    # and otherwise the full solve itself, potentials included, bit for bit
     outcomes = {True: 0, False: 0}
+    solve = transport._transport_simplex
     for a, b, cost, start in refusal_problems():
-        full = transport._transport_simplex(a, b, cost, start=start)
-        reported = float((full[0] * cost).sum())
+        full = certified(solve, a, b, cost, start=start)
+        reported = full[1]
+        assert reports_its_plans_cost(full, cost)
         step = 1e-9 * max(abs(reported), float(np.abs(cost).max()))
         thresholds = (
             -np.inf, reported - step, np.nextafter(reported, -np.inf), reported,
             np.nextafter(reported, np.inf), reported + step, np.inf,
         )
         for refuse_at in thresholds:
-            got = transport._transport_simplex(
-                a, b, cost, start=start, refuse_at=refuse_at
-            )
+            got = certified(solve, a, b, cost, start=start, refuse_at=refuse_at)
             outcomes[got is None] += 1
             if got is None:
                 assert reported >= refuse_at
             else:
                 assert result_bytes(got) == result_bytes(full)
-                assert got[1].parent == full[1].parent
+                assert got[0].parent == full[0].parent
     assert outcomes[True] > 500 and outcomes[False] > 1500
 
 
@@ -805,7 +847,7 @@ def test_greedy_swap_solves_start_near_optimal(monkeypatch):
             nonlocal ended
             result = solve(a, b, cost, start=start, refuse_at=refuse_at)
             if start is not None:
-                warm_pivots.append(solve(a, b, cost, start=start)[4].pivots)
+                warm_pivots.append(solve(a, b, cost, start=start)[2].pivots)
                 ended += result is not None
             return result
 
@@ -992,10 +1034,11 @@ def test_simplex_trees_are_parent_lists_of_their_plans(problem):
     a, b, m, n = mu.weights, nu.weights, mu.size, nu.size
     cold = transport._transport_simplex(a, b, sq_dists(mu.atoms, nu.atoms))
     other = sq_dists(mu.atoms, nu.atoms[::-1])
-    warm = transport._transport_simplex(a, b, other, start=cold[1])
-    for plan, record, *_ in (cold, warm):
-        # the record holds the returned plan itself, read-only
-        assert plan is record.plan and not plan.flags.writeable
+    warm = transport._transport_simplex(a, b, other, start=cold[0])
+    for record, *_ in (cold, warm):
+        # the record holds the certified plan, read-only
+        plan = record.plan
+        assert not plan.flags.writeable
         tree = record.parent
         # row node 0 is the root, every other node hangs from a node of
         # the other side, and the links are a tree hung from row node 0
@@ -1023,7 +1066,7 @@ def test_warm_solves_carry_their_start_record(problem):
     mu, nu = problem
     a, b = mu.weights, nu.weights
     cost = sq_dists(mu.atoms, nu.atoms)
-    start = transport._transport_simplex(a, b, cost)[1]
+    start = transport._transport_simplex(a, b, cost)[0]
     # the same tree rebuilt from its bare parent list
     rebuilt = transport.HungTree(list(start.parent), a, b)
     before = record_state(start)
@@ -1037,19 +1080,22 @@ def test_warm_solves_carry_their_start_record(problem):
 
     # the optimal cost again, which needs no pivot, and the target atoms
     # reversed, which usually needs some
+    solve = transport._transport_simplex
     for warm_cost in (cost, sq_dists(mu.atoms, nu.atoms[::-1])):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transport, "_tree_flows", counting)
             calls.clear()
-            warm = transport._transport_simplex(a, b, warm_cost, start=start)
+            warm = certified(solve, a, b, warm_cost, start=start)
             made = len(calls)
-            again = transport._transport_simplex(a, b, warm_cost, start=rebuilt)
+            again = certified(solve, a, b, warm_cost, start=rebuilt)
         assert result_bytes(warm) == result_bytes(again)
-        pivoted = warm[4].pivots > 0
+        pivoted = warm[2].pivots > 0
         # leaf elimination runs once, for the final flows, and only after
         # a pivot; with none the start record itself is the answer
         assert made == len(calls) - made == int(pivoted)
-        assert (warm[1] is start and warm[0] is start.plan) != pivoted
+        assert (warm[0] is start) != pivoted
+        # the returned cost is the plan's, with pivots or none
+        assert reports_its_plans_cost(warm, warm_cost)
         # no solve changes its start
         assert record_state(start) == record_state(rebuilt) == before
 
@@ -1118,22 +1164,21 @@ def assert_exactly_optimal(a, b, cost, plan, tree):
 def test_simplex_trees_pass_the_rational_oracle(problem):
     mu, nu = problem
     cost = sq_dists(mu.atoms, nu.atoms)
-    plan, tree, _, _, _ = transport._transport_simplex(mu.weights, nu.weights, cost)
-    assert_exactly_optimal(mu.weights, nu.weights, cost, plan, tree)
+    tree = transport._transport_simplex(mu.weights, nu.weights, cost)[0]
+    assert_exactly_optimal(mu.weights, nu.weights, cost, tree.plan, tree)
     # a warm solve with the target atoms reversed, from the cold tree: the
     # tree a pivot returns, or the start itself when it made no pivot
     other = sq_dists(mu.atoms, nu.atoms[::-1])
-    plan, tree, _, _, _ = transport._transport_simplex(
-        mu.weights, nu.weights, other, start=tree
-    )
-    assert_exactly_optimal(mu.weights, nu.weights, other, plan, tree)
+    tree = transport._transport_simplex(mu.weights, nu.weights, other, start=tree)[0]
+    assert_exactly_optimal(mu.weights, nu.weights, other, tree.plan, tree)
 
 
 def test_rational_oracle_catches_a_suboptimal_tree():
     rng = np.random.default_rng(21)
     mu, nu = random_measure(rng, 2, 6), random_measure(rng, 2, 7)
     cost = sq_dists(mu.atoms, nu.atoms)
-    plan, tree, _, _, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
+    tree, _, stats = transport._transport_simplex(mu.weights, nu.weights, cost)
+    plan = tree.plan
     assert stats.pivots > stats.degenerate_pivots
     planted = transport.HungTree(
         transport._northwest_tree(mu.weights, nu.weights), mu.weights, nu.weights
@@ -1190,9 +1235,9 @@ def test_search_vertices_pass_the_rational_oracle(monkeypatch):
     solve = transport._transport_simplex
 
     def recording(a, b, cost, start=None):
-        plan, tree, u, v, stats = solve(a, b, cost, start=start)
-        solves.append((a, b, cost, plan, tree))
-        return plan, tree, u, v, stats
+        result = solve(a, b, cost, start=start)
+        solves.append((a, b, cost, result[0].plan, result[0]))
+        return result
 
     monkeypatch.setattr(transport, "_transport_simplex", recording)
     mu, nu = interior_pair(8, 2)

@@ -8,20 +8,16 @@ pivots depend on the last bits of the pricing. It records for each run
 the SHA-256 of the chosen subsample's atoms and, for every simplex
 solve the search makes, the SHA-256 of its cost matrix and either
 - of a solve that ends, the SHA-256 of its plan, its pivot counts
-  (``SolveStats``) and the cost it reports, ``fl(sum(plan * cost))``; or
+  (``SolveStats``) and the cost it reports, ``fl(sum(plan * cost))``,
+  worked out here from the plan; or
 - of a solve that refuses its trial (returns None because its dual
   bound reached the ``refuse_at`` threshold it was handed), that
-  threshold; or
-- of a trial that a pre-solve screen refused without a solve, the
-  screen's lower bound on its cost. Older trees screened trials with
-  ``perturbation._swap_lower_bound`` before solving them; when the
-  ``--src`` tree has it, each of its bounds is recorded, and dropped
-  again when the next solve is of the same cost matrix, so only the
-  trials it refused are left.
+  threshold.
 
-Only the plan and the stats of a solve's result are read, so any commit
-whose ``_transport_simplex`` returns ``(plan, tree, u, v, stats)`` can
-be recorded, whatever form its tree takes.
+Only the plan and the stats of a solve's result are read: the stats
+are its last item, and the plan is its first, or that item's ``plan``
+when it is a tree record. So both ``(tree, cost, stats)`` and the older
+``(plan, tree, u, v, stats)`` results can be recorded.
 
     python tools/solve_replay.py record OUT.json [--src DIR]
     python tools/solve_replay.py compare OUT.json [--src DIR]
@@ -31,15 +27,12 @@ be recorded, whatever form its tree takes.
 then compare at the change. Two runs agree when they choose the same
 subsample and solve the same sequence of cost matrices, and each pair
 of solves agrees: two solves that end give the same plan and pivot
-counts; two refusals, or two screened trials, have the same threshold
-or bound; a refusal or a screened trial is accepted against a solve
-that ends only when that solve reported a cost at or above the
-threshold or bound, so the trial would have been refused anyway; and a
-refusal is accepted against a screened trial only when the screen's
-bound is at or above the refusal's threshold. ``compare`` prints every
-run that does not agree and exits 1 if there is one. Float bits may
-differ between BLAS builds, so compare only records made on one
-machine.
+counts; two refusals have the same threshold; and a refusal is
+accepted against a solve that ends only when that solve reported a
+cost at or above the threshold, so the trial would have been refused
+anyway. ``compare`` prints every run that does not agree and exits 1
+if there is one. Float bits may differ between BLAS builds, so compare
+only records made on one machine.
 """
 
 from __future__ import annotations
@@ -94,24 +87,15 @@ def replay(src: Path) -> list[dict]:
     from probframes import perturbation, transport
 
     solve = transport._transport_simplex
-    screen = getattr(perturbation, "_swap_lower_bound", None)
     solves: list[dict] = []
-
-    def screening(a, b, cols, v):
-        lower = screen(a, b, cols, v)
-        solves.append({"cost": _sha(cols), "screened_at": lower})
-        return lower
 
     def recording(a, b, cost, **options):
         sha = _sha(cost)
-        # a trial the screen let through: only its solve is kept
-        if solves and "screened_at" in solves[-1] and solves[-1]["cost"] == sha:
-            solves.pop()
         result = solve(a, b, cost, **options)
         if result is None:
             solves.append({"cost": sha, "refused_at": options["refuse_at"]})
             return result
-        plan, stats = result[0], result[4]
+        plan, stats = getattr(result[0], "plan", result[0]), result[-1]
         solves.append({
             "cost": sha,
             "plan": _sha(plan),
@@ -122,8 +106,6 @@ def replay(src: Path) -> list[dict]:
 
     runs = []
     transport._transport_simplex = recording
-    if screen is not None:
-        perturbation._swap_lower_bound = screening
     try:
         for name, eta, n in inputs():
             solves = []
@@ -132,15 +114,13 @@ def replay(src: Path) -> list[dict]:
                          "solves": solves})
     finally:
         transport._transport_simplex = solve
-        if screen is not None:
-            perturbation._swap_lower_bound = screen
     return runs
 
 
-# what a record of one trial holds, the strongest evidence of its cost
-# first: the cost a full solve reported, a screen's certified lower bound
-# on it, the threshold at which a solve refused it
-KINDS = ("reported", "screened_at", "refused_at")
+# what a record of one trial holds, the stronger evidence of its cost
+# first: the cost a full solve reported, the threshold at which a solve
+# refused it
+KINDS = ("reported", "refused_at")
 
 
 def _kind(entry: dict) -> str:
@@ -149,9 +129,7 @@ def _kind(entry: dict) -> str:
 
 def _solve_counts(runs: list[dict]) -> str:
     kinds = [_kind(s) for r in runs for s in r["solves"]]
-    screened, refused = kinds.count("screened_at"), kinds.count("refused_at")
-    return (f"{len(kinds) - screened} solves ({refused} refused), "
-            f"{screened} trials screened")
+    return f"{len(kinds)} solves ({kinds.count('refused_at')} refused)"
 
 
 def _disagreement(p: dict, q: dict) -> str | None:
@@ -167,11 +145,10 @@ def _disagreement(p: dict, q: dict) -> str | None:
         return None
     if ks == kw:
         return None if p[ks] == q[ks] else "thresholds differ"
-    # the weaker record is justified only by a cost or bound at or above it
+    # a refusal is justified only by a reported cost at or above it
     if strong[ks] >= weak[kw]:
         return None
-    what = "the full solve reported" if ks == "reported" else "the screen's bound was"
-    return f"{kw.replace('_', ' ')} {weak[kw]!r}, but {what} {strong[ks]!r}"
+    return f"refused at {weak[kw]!r}, but the full solve reported {strong[ks]!r}"
 
 
 def compare(old: list[dict], new: list[dict]) -> int:
