@@ -319,9 +319,10 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
         chosen.append(nxt)
         np.minimum(min_dist, sq[nxt], out=min_dist)
     best = sorted(chosen)
-    best_tree, best_cost, _ = _transport._transport_simplex(
+    best_tree, cost, _ = _transport._transport_simplex(
         eta.weights, sub_weights, sq[:, best]
     )
+    threshold = cost * (1.0 - 1e-12)
     neighbors = 5
     for _ in range(6):
         improved = False
@@ -336,7 +337,6 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                     break
                 trial = best.copy()
                 trial[k] = int(cand)
-                threshold = best_cost * (1.0 - 1e-12)
                 solved = _transport._transport_simplex(
                     eta.weights,
                     sub_weights,
@@ -348,7 +348,7 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                     continue
                 tree, cost, _ = solved
                 if cost < threshold:
-                    best, best_cost, best_tree = trial, cost, tree
+                    best, best_tree, threshold = trial, tree, cost * (1.0 - 1e-12)
                     improved = True
                     break
         if not improved:

@@ -302,24 +302,28 @@ class SolveStats:
     bland_pivots: int
 
 
-def _dual_margin(a: np.ndarray, b: np.ndarray, cost: np.ndarray, u, v) -> float:
+def _dual_margin(a: np.ndarray, b: np.ndarray, cmax: float, pot, u) -> float:
     """Rounding margin of the weak-duality bound a.u + b.v on a solve's cost,
     the one bound on which _transport_simplex refuses a trial.
 
-    u must be the c-transform of v as floats compute it, the row minima
-    of fl(c_ij - v_j), so that (u, v) is dual feasible up to that
-    rounding. Then fl(a @ u) + fl(b @ v), less this margin, is at most
-    the cost a solve returns, fl(sum(plan * cost)) for the plan leaf
-    elimination writes from a and b on its spanning tree, whichever tree
-    that is.
+    cmax is max|c_ij|, pot the tree's potentials, the rows' pot_i and
+    then the columns' v_j, and u the row potentials raised by the row
+    minima of the pricing's reduced costs as floats compute them,
+    u_i = pot_i + min_j fl(fl(c_ij - pot_i) - v_j), so that (u, v) is
+    dual feasible up to that rounding. Then fl(a @ u) + fl(b @ v), less
+    this margin, is at most the cost a solve returns, fl(sum(plan * cost))
+    for the plan leaf elimination writes from a and b on its spanning
+    tree, whichever tree that is.
     """
-    m, n = cost.shape
-    # With eps = 2**-53, s = max|C| + max|u| + max|v|, d = |sum a - sum b|,
-    # M = max(1, sum a, sum b) and r, q the row and column sums of the
-    # solve's plan P >= 0, whose mass is M up to rounding:
-    # - the c-transform's minimum is some fl(c_ij - v_j), which is at most
-    #   c_ij - v_j + eps |c_ij - v_j| in every cell, so u_i + v_j - c_ij <= eps s
-    #   and sum P C >= r.u + q.v - eps s M.
+    m, n = a.size, b.size
+    # With eps = 2**-53, s = max|C| + max|pot_rows| + max|u| + max|v|,
+    # d = |sum a - sum b|, M = max(1, sum a, sum b) and r, q the row and
+    # column sums of the solve's plan P >= 0, whose mass is M up to rounding:
+    # - each reduced cost fl(fl(c_ij - pot_i) - v_j) is within
+    #   (2 + eps) eps s of c_ij - pot_i - v_j, and u_i rounds
+    #   pot_i + min_j of them within eps |u_i| / (1 - eps), so
+    #   u_i + v_j - c_ij <= 4 eps s in every cell and
+    #   sum P C >= r.u + q.v - 4 eps s M.
     # - leaf elimination leaves each node's marginal off by the rounding
     #   of its own sum, at most 2 deg eps times its mass, 2 (m + n) eps M
     #   in all. A flow zeroed as a rounding negative carries at most that
@@ -330,9 +334,9 @@ def _dual_margin(a: np.ndarray, b: np.ndarray, cost: np.ndarray, u, v) -> float:
     # - fl(a @ u) + fl(b @ v) is within (m + n + 1) eps s M of a.u + b.v.
     # - fl(sum(P * C)) is within (mn + 1) eps max|C| M of sum P C, and the
     #   caller's subtraction of the margin rounds once.
-    # The sum, at most (12 (m + n)^2 + mn + m + n + 4) eps s M + d s, is
-    # below (16 (m + n)^2 eps M + d) s.
-    scale = float(np.abs(cost).max()) + float(np.abs(u).max()) + float(np.abs(v).max())
+    # The sum, at most (12 (m + n)^2 + mn + m + n + 7) eps s M + d s, is
+    # below (16 (m + n)^2 eps M + d) s, as mn + m + n + 7 <= 4 (m + n)^2.
+    scale = cmax + sum(float(np.abs(x).max()) for x in (pot[:m], u, pot[m:]))
     sa, sb = float(a.sum()), float(b.sum())
     mass = max(1.0, sa, sb)
     return (16 * (m + n) ** 2 * 2.0**-53 * mass + abs(sa - sb)) * scale
@@ -350,7 +354,8 @@ def _transport_simplex(
     optimal for one cost matrix is a feasible start for any cost matrix
     with the same marginals; one made for others is rebuilt from its
     parent list, and one that does not span this problem or needs
-    negative flows raises InternalInvariantError.
+    negative flows raises InternalInvariantError, and a cost matrix
+    with a non-finite entry raises Unsupported.
     Pricing is most-negative reduced cost, falling back to Bland's rule
     (first negative cell in row-major order) whenever a run of
     degenerate pivots suggests stalling; Bland's rule cannot cycle, so
@@ -375,12 +380,12 @@ def _transport_simplex(
 
     With refuse_at given, the solve may return None instead, but only
     once it has proved that the cost it would return is at least
-    refuse_at. Before each pricing, the last one included, the row
-    potentials are replaced by the c-transform of the column ones,
-    u'_i = min_j (c_ij - v_j), which in exact arithmetic is u_i plus the
-    row minimum of the reduced costs and makes (u', v) dual feasible, so
-    by weak duality a.u' + b.v bounds the optimal cost from below. The
-    solve stops when that bound, less the rounding margin of
+    refuse_at. At each pricing, the last one included, the row
+    potentials u are raised by the row minima of that pricing's reduced
+    costs, u'_i = u_i + min_j (c_ij - u_i - v_j), in exact arithmetic the
+    c-transform of the column potentials v, which makes (u', v) dual
+    feasible, so by weak duality a.u' + b.v bounds the optimal cost from
+    below. The solve stops when that bound, less the rounding margin of
     _dual_margin (worked out only when the bound alone reaches
     refuse_at), reaches refuse_at; a solve ending above refuse_at thus
     also skips its final leaf elimination and certificate. A solve that
@@ -388,30 +393,30 @@ def _transport_simplex(
     bit.
     """
     m, n = cost.shape
-    eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
+    cmax = float(np.abs(cost).max())
+    if not math.isfinite(cmax):
+        raise Unsupported("cost matrix has non-finite entries")
+    eps = 1e-12 * max(1.0, cmax)
     tree = HungTree(_northwest_tree(a, b), a, b) if start is None else start
     if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():
         tree = HungTree(tree.parent, a, b)
     parent, (depth, flow, nbrs, *_) = tree.parent, tree.walk
     pot = np.array(tree.potentials(cost))
     rows, cols = pot[:m, None], pot[None, m:]
-    # made at first use, so a solve refusing at once makes no reduced costs
-    reduced = transform = None
+    reduced = None
     stall_limit = 30 + (m + n) // 2
     stalled = 0
     degenerate = bland = 0
     for pivots in range(_pivot_budget(m, n)):
-        if refuse_at is not None:
-            v = pot[m:]
-            transform = np.subtract(cost, cols, out=transform)
-            u = transform.min(axis=1)
-            bound = float(a @ u) + float(b @ v)
-            # the margin's maxima are worked out only when they can matter
-            if bound >= refuse_at:
-                if bound - _dual_margin(a, b, cost, u, v) >= refuse_at:
-                    return None
         reduced = np.subtract(cost, rows, out=reduced)
         reduced -= cols
+        if refuse_at is not None:
+            u = pot[:m] + reduced.min(axis=1)
+            bound = float(a @ u) + float(b @ pot[m:])
+            # the margin's maxima are worked out only when they can matter
+            if bound >= refuse_at:
+                if bound - _dual_margin(a, b, cmax, pot, u) >= refuse_at:
+                    return None
         if stalled <= stall_limit:
             flat = int(reduced.argmin())
             if reduced.item(flat) >= -eps:

@@ -150,6 +150,15 @@ def test_validation_errors_exit_2(tmp_path):
     ):
         r = run_cli(*argv)
         assert r.returncode == 2 and r.stderr.startswith("error: "), (argv, r.stderr)
+    # coordinates near 1e160 are finite, but their squared distances and
+    # the search's oracle costs overflow: bad input, refused before any pivot
+    huge, other = tmp_path / "huge.json", tmp_path / "huge_other.json"
+    huge.write_text(json.dumps({**axes, "atoms": [[1e160, 0.0], [0.0, 1e160]]}))
+    other.write_text(json.dumps({**axes, "atoms": [[1e160, 1e160], [0.0, -1e160]]}))
+    for argv in (["w2", huge, other], ["certify", huge, other]):
+        r = run_cli(*map(str, argv))
+        assert r.returncode == 2, (argv, r.stderr)
+        assert "error: cost matrix has non-finite entries" in r.stderr
 
 
 def test_each_command_takes_only_the_flags_it_reads(capsys):

@@ -53,6 +53,10 @@ def test_compare_accepts_only_refusals_a_full_solve_justifies(
     assert solve_replay.compare(run(old), run(new)) == code
     out = capsys.readouterr().out
     assert ("differs: cloud_0" in out) == bool(code)
+    # a solve that ended on one side and was refused on the other is
+    # counted whether or not the runs agree
+    switched = int(solve_replay._kind(old) != solve_replay._kind(new))
+    assert f"\n{switched} solves ended on one side and were refused" in out
 
 
 def test_compare_requires_the_same_subsample_and_solve_sequence(solve_replay, capsys):

@@ -788,7 +788,10 @@ def refusal_problems():
     oracle-like x p y^T costs of Gaussian, lattice-tied or duplicated
     atoms, uniform or cubed (tiny) weights, coordinate scales 1e-4 to
     1e4, m != n among them; each cost solved cold and warm from the
-    optimal tree of the other cost."""
+    optimal tree of the other cost. Each problem comes again with its
+    cost shifted by 1e3 max|cost|, which moves every plan's cost alike
+    but makes the tree's potentials large against the reduced costs,
+    where fl(c_ij - u_i) rounds most."""
     for seed in range(120):
         rng = np.random.default_rng(7000 + seed)
         m, n = (int(k) for k in rng.integers(1, 13, 2))
@@ -806,6 +809,7 @@ def refusal_problems():
         ]
         for cost, start in zip(costs * 2, (None, None, *trees[::-1])):
             yield mu.weights, nu.weights, cost, start
+            yield mu.weights, nu.weights, cost + 1e3 * np.abs(cost).max(), start
 
 
 def test_a_refused_solve_would_have_reported_a_cost_at_or_above_the_threshold():

@@ -14,11 +14,6 @@ solve the search makes, the SHA-256 of its cost matrix and either
   bound reached the ``refuse_at`` threshold it was handed), that
   threshold.
 
-Only the plan and the stats of a solve's result are read: the stats
-are its last item, and the plan is its first, or that item's ``plan``
-when it is a tree record. So both ``(tree, cost, stats)`` and the older
-``(plan, tree, u, v, stats)`` results can be recorded.
-
     python tools/solve_replay.py record OUT.json [--src DIR]
     python tools/solve_replay.py compare OUT.json [--src DIR]
 
@@ -31,8 +26,10 @@ counts; two refusals have the same threshold; and a refusal is
 accepted against a solve that ends only when that solve reported a
 cost at or above the threshold, so the trial would have been refused
 anyway. ``compare`` prints every run that does not agree and exits 1
-if there is one. Float bits may differ between BLAS builds, so compare
-only records made on one machine.
+if there is one; it also counts the solves that ended on one side and
+were refused on the other, which a stronger or weaker refusal bound
+changes even when every run agrees. Float bits may differ between BLAS
+builds, so compare only records made on one machine.
 """
 
 from __future__ import annotations
@@ -95,7 +92,7 @@ def replay(src: Path) -> list[dict]:
         if result is None:
             solves.append({"cost": sha, "refused_at": options["refuse_at"]})
             return result
-        plan, stats = getattr(result[0], "plan", result[0]), result[-1]
+        plan, stats = result[0].plan, result[2]
         solves.append({
             "cost": sha,
             "plan": _sha(plan),
@@ -153,13 +150,15 @@ def _disagreement(p: dict, q: dict) -> str | None:
 
 def compare(old: list[dict], new: list[dict]) -> int:
     before = {r["run"]: r for r in old}
-    differing = 0
+    differing = switched = 0
     for r in new:
         o = before.pop(r["run"], None)
         if o is None:
             print(f"new run: {r['run']}")
             differing += 1
             continue
+        pairs = list(zip(o["solves"], r["solves"]))
+        switched += sum(_kind(p) != _kind(q) for p, q in pairs)
         notes = []
         if o["subsample_sha256"] != r["subsample_sha256"]:
             notes.append("subsample differs")
@@ -168,7 +167,7 @@ def compare(old: list[dict], new: list[dict]) -> int:
         first = next(
             (
                 (k, why)
-                for k, (p, q) in enumerate(zip(o["solves"], r["solves"]))
+                for k, (p, q) in enumerate(pairs)
                 if (why := _disagreement(p, q))
             ),
             None,
@@ -182,6 +181,7 @@ def compare(old: list[dict], new: list[dict]) -> int:
         print(f"missing run: {name}")
         differing += 1
     print(f"{len(new)} runs, {_solve_counts(new)}, {differing} runs differ")
+    print(f"{switched} solves ended on one side and were refused on the other")
     return 1 if differing else 0
 
 
