@@ -355,7 +355,8 @@ def _transport_simplex(
     with the same marginals; one made for others is rebuilt from its
     parent list, and one that does not span this problem or needs
     negative flows raises InternalInvariantError, and a cost matrix
-    with a non-finite entry raises Unsupported.
+    with an entry that is not finite, or so large that a potential or
+    reduced cost could overflow, raises Unsupported.
     Pricing is most-negative reduced cost, falling back to Bland's rule
     (first negative cell in row-major order) whenever a run of
     degenerate pivots suggests stalling; Bland's rule cannot cycle, so
@@ -394,8 +395,10 @@ def _transport_simplex(
     """
     m, n = cost.shape
     cmax = float(np.abs(cost).max())
-    if not math.isfinite(cmax):
-        raise Unsupported("cost matrix has non-finite entries")
+    # a tree's potentials are sums of at most m + n - 1 costs and its
+    # reduced costs of 2 (m + n) - 1, so with this finite none overflows
+    if not math.isfinite(4 * (m + n) * cmax):
+        raise Unsupported("cost matrix has entries too large or not finite")
     eps = 1e-12 * max(1.0, cmax)
     tree = HungTree(_northwest_tree(a, b), a, b) if start is None else start
     if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():

@@ -151,14 +151,24 @@ def test_validation_errors_exit_2(tmp_path):
         r = run_cli(*argv)
         assert r.returncode == 2 and r.stderr.startswith("error: "), (argv, r.stderr)
     # coordinates near 1e160 are finite, but their squared distances and
-    # the search's oracle costs overflow: bad input, refused before any pivot
-    huge, other = tmp_path / "huge.json", tmp_path / "huge_other.json"
-    huge.write_text(json.dumps({**axes, "atoms": [[1e160, 0.0], [0.0, 1e160]]}))
-    other.write_text(json.dumps({**axes, "atoms": [[1e160, 1e160], [0.0, -1e160]]}))
-    for argv in (["w2", huge, other], ["certify", huge, other]):
-        r = run_cli(*map(str, argv))
-        assert r.returncode == 2, (argv, r.stderr)
-        assert "error: cost matrix has non-finite entries" in r.stderr
+    # the search's oracle costs overflow; near 1e154 the squared distances
+    # are finite, but the simplex's potentials and reduced costs overflow:
+    # bad input, refused before any pivot
+    third = [1 / 3] * 3
+    docs = (
+        ({**axes, "atoms": [[1e160, 0.0], [0.0, 1e160]]},
+         {**axes, "atoms": [[1e160, 1e160], [0.0, -1e160]]}),
+        ({"atoms": [[-5e153], [5e153], [-3e153]], "weights": third},
+         {"atoms": [[-6e153], [5e153], [1e153]], "weights": third}),
+    )
+    for k, pair in enumerate(docs):
+        paths = [tmp_path / f"huge_{k}_{side}.json" for side in "mn"]
+        for path, doc in zip(paths, pair):
+            path.write_text(json.dumps(doc))
+        for command in ("w2", "certify"):
+            r = run_cli(command, *map(str, paths))
+            assert r.returncode == 2, (command, pair, r.stderr)
+            assert "error: cost matrix has entries too large or not finite" in r.stderr
 
 
 def test_each_command_takes_only_the_flags_it_reads(capsys):
