@@ -89,16 +89,15 @@ def _matrix(name: str) -> np.ndarray:
     return _as_floats(doc, BadArgument)
 
 
-def _inputs(args, *counts: int) -> list[str]:
-    """The positional and --fixture inputs, which must number one of counts."""
-    names = list(args.inputs) + list(args.fixture or [])
-    if len(names) not in counts:
+def _inputs(args, counts: tuple[int, ...]) -> list[str]:
+    """The positional inputs, which must number one of counts."""
+    if len(args.inputs) not in counts:
         takes = " or ".join(map(str, counts))
         plural = "" if counts == (1,) else "s"
         raise WrongInputCount(
-            f"{args.command} takes {takes} input{plural}, got {len(names)}"
+            f"{args.command} takes {takes} input{plural}, got {len(args.inputs)}"
         )
-    return names
+    return args.inputs
 
 
 def _dual_doc(dual: DiscreteMeasure, coupling: Coupling, tol: float) -> dict:
@@ -120,13 +119,11 @@ def _measure_summary(m: DiscreteMeasure) -> dict:
 # --- command handlers: each returns (document, hypotheses_ok) ----------------
 
 
-def _cmd_analyze(args):
-    (name,) = _inputs(args, 1)
+def _cmd_analyze(args, name):
     return _measure_summary(_measure(name)), True
 
 
-def _cmd_w2(args):
-    a, b = _inputs(args, 2)
+def _cmd_w2(args, a, b):
     result = solve_w2(_measure(a), _measure(b))
     return {
         "cost": result.cost,
@@ -135,8 +132,7 @@ def _cmd_w2(args):
     }, True
 
 
-def _cmd_coupling_check(args):
-    (name,) = _inputs(args, 1)
+def _cmd_coupling_check(args, name):
     c = _coupling(name)
     row_err, col_err = _marginal_errors(c.plan, c.source, c.target)
     doc = {
@@ -150,8 +146,7 @@ def _cmd_coupling_check(args):
     return doc, True
 
 
-def _cmd_certify(args):
-    names = _inputs(args, 1, 2)
+def _cmd_certify(args, *names):
     if len(names) == 1:
         cert = certify(_coupling(names[0]), tol=args.tol)
         doc = certificate_to_dict(cert)
@@ -172,19 +167,16 @@ def _cmd_certify(args):
     return doc, True
 
 
-def _cmd_canonical_dual(args):
-    (name,) = _inputs(args, 1)
+def _cmd_canonical_dual(args, name):
     return _dual_doc(*canonical_dual(_measure(name)), args.tol), True
 
 
-def _cmd_approx_dual(args):
-    (name,) = _inputs(args, 1)
+def _cmd_approx_dual(args, name):
     dual_pair = approx_dual_pushforward(_measure(name), _matrix(args.operator))
     return _dual_doc(*dual_pair, args.tol), True
 
 
-def _cmd_neumann(args):
-    (name,) = _inputs(args, 1)
+def _cmd_neumann(args, name):
     if args.terms < 0:
         raise BadArgument(f"--terms must be at least 0, got {args.terms}")
     c = _coupling(name)
@@ -206,13 +198,11 @@ def _cmd_neumann(args):
     }, True
 
 
-def _cmd_rescue(args):
-    (name,) = _inputs(args, 1)
+def _cmd_rescue(args, name):
     return _dual_doc(*rescue_exact_dual(_coupling(name)), args.tol), True
 
 
-def _cmd_pushforward(args):
-    (name,) = _inputs(args, 1)
+def _cmd_pushforward(args, name):
     m = _measure(name)
     offsets = (
         _matrix(args.offsets)
@@ -222,20 +212,17 @@ def _cmd_pushforward(args):
     return _dual_doc(*pushforward_dual(m, offsets), args.tol), True
 
 
-def _cmd_uncertainty(args):
-    (name,) = _inputs(args, 1)
+def _cmd_uncertainty(args, name):
     f = _as_floats(args.vector.split(","), BadArgument)
     lhs, rhs = uncertainty_product(_coupling(name), f)
     return {"lhs": lhs, "rhs": rhs, "satisfied": bool(lhs >= rhs - 1e-9)}, True
 
 
-def _cmd_bounds_ineq(args):
-    (name,) = _inputs(args, 1)
+def _cmd_bounds_ineq(args, name):
     return asdict(bound_inequalities(_coupling(name))), True
 
 
-def _cmd_perturb(args):
-    base_name, eta_name = _inputs(args, 2)
+def _cmd_perturb(args, base_name, eta_name):
     mu, eta = _measure(base_name), _measure(eta_name)
     c = _coupling(args.coupling) if args.coupling else None
     if args.mode == "bound":
@@ -259,8 +246,7 @@ def _cmd_perturb(args):
     return {"mode": args.mode, **report_to_dict(report)}, report.all_checked_hold
 
 
-def _cmd_sample_dual(args):
-    (name,) = _inputs(args, 1)
+def _cmd_sample_dual(args, name):
     mu_hat, nu_hat, report = discrete_dual_pipeline(
         _measure(name), args.samples, a_n=args.a_n
     )
@@ -271,28 +257,65 @@ def _cmd_sample_dual(args):
     }, report.all_checked_hold
 
 
+# the exactness tolerance of a command's certificates
+TOL = ("--tol", dict(type=float, default=EXACT_TOL))
+
+# name: (handler, the input counts it takes, help, the flags it reads besides --output)
 COMMANDS = {
-    "analyze": (_cmd_analyze, "frame bounds, flags, and redundancy of a measure"),
-    "w2": (_cmd_w2, "exact Wasserstein-2 distance and optimal plan"),
-    "coupling-check": (_cmd_coupling_check, "validate a coupling document"),
-    "certify": (_cmd_certify, "dual certificate of a coupling (or search one)"),
-    "canonical-dual": (_cmd_canonical_dual, "canonical dual with coupling"),
-    "approx-dual": (_cmd_approx_dual, "approximate dual for a mixed operator"),
-    "neumann": (_cmd_neumann, "Neumann partial-sum corrections of a coupling"),
-    "rescue": (_cmd_rescue, "exact dual from an invertible mixed operator"),
-    "pushforward": (_cmd_pushforward, "exact dual from a perturbed dual map"),
-    "uncertainty": (_cmd_uncertainty, "uncertainty product for a vector"),
-    "bounds-ineq": (_cmd_bounds_ineq, "guaranteed-bound slacks of a coupling"),
-    "perturb": (_cmd_perturb, "perturbation reports (bound/glue/variants/matched)"),
-    "sample-dual": (_cmd_sample_dual, "approximate dual from a subsample"),
+    "analyze": (
+        _cmd_analyze, (1,), "frame bounds, flags, and redundancy of a measure", ()
+    ),
+    "w2": (_cmd_w2, (2,), "exact Wasserstein-2 distance and optimal plan", ()),
+    "coupling-check": (_cmd_coupling_check, (1,), "validate a coupling document", ()),
+    "certify": (
+        _cmd_certify, (1, 2), "dual certificate of a coupling (or search one)",
+        (TOL, ("--iters", dict(type=int, default=SEARCH_ITERS))),
+    ),
+    "canonical-dual": (
+        _cmd_canonical_dual, (1,), "canonical dual with coupling", (TOL,)
+    ),
+    "approx-dual": (
+        _cmd_approx_dual, (1,), "approximate dual for a mixed operator",
+        (TOL, ("--operator", dict(required=True, metavar="MATRIX"))),
+    ),
+    "neumann": (
+        _cmd_neumann, (1,), "Neumann partial-sum corrections of a coupling",
+        (TOL, ("--terms", dict(type=int, default=0))),
+    ),
+    "rescue": (
+        _cmd_rescue, (1,), "exact dual from an invertible mixed operator", (TOL,)
+    ),
+    "pushforward": (
+        _cmd_pushforward, (1,), "exact dual from a perturbed dual map",
+        (TOL, ("--offsets", dict(metavar="VECTORS"))),
+    ),
+    "uncertainty": (
+        _cmd_uncertainty, (1,), "uncertainty product for a vector",
+        (("--vector", dict(required=True, metavar="F")),),
+    ),
+    "bounds-ineq": (
+        _cmd_bounds_ineq, (1,), "guaranteed-bound slacks of a coupling", ()
+    ),
+    "perturb": (
+        _cmd_perturb, (2,), "perturbation reports (bound/glue/variants/matched)",
+        (
+            # perturb tells a --tol given from none: its bound mode reads none
+            ("--tol", dict(type=float, default=None)),
+            ("--mode", dict(
+                choices=("bound", "glue", "variants", "matched"), default="bound"
+            )),
+            ("--coupling", dict(metavar="FILE")),
+            ("--dual", dict(metavar="FILE")),
+        ),
+    ),
+    "sample-dual": (
+        _cmd_sample_dual, (1,), "approximate dual from a subsample",
+        (
+            ("--samples", dict(type=int, required=True)),
+            ("--a-n", dict(type=float, default=None)),
+        ),
+    ),
 }
-
-
-# the commands that read --tol, the exactness tolerance of their certificates
-TOL_COMMANDS = (
-    "certify", "canonical-dual", "approx-dual", "neumann", "rescue", "pushforward",
-    "perturb",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,57 +324,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frame analysis of finitely supported probability measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
+    for name, (_, _, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "inputs",
             nargs="*",
             help="measure/coupling JSON files or bundled fixture names",
         )
-        p.add_argument(
-            "--fixture",
-            action="append",
-            metavar="NAME",
-            help="append a bundled fixture as an input",
-        )
-        if name in TOL_COMMANDS:
-            # perturb tells a --tol given from none: its bound mode reads none
-            default = None if name == "perturb" else EXACT_TOL
-            p.add_argument("--tol", type=float, default=default)
-        if name == "certify":
-            p.add_argument("--iters", type=int, default=SEARCH_ITERS)
         p.add_argument("--output", choices=("json", "text"), default="json")
-        if name == "approx-dual":
-            p.add_argument("--operator", required=True, metavar="MATRIX")
-        if name == "neumann":
-            p.add_argument("--terms", type=int, default=0)
-        if name == "pushforward":
-            p.add_argument("--offsets", metavar="VECTORS")
-        if name == "uncertainty":
-            p.add_argument("--vector", required=True, metavar="F")
-        if name == "perturb":
-            p.add_argument(
-                "--mode",
-                choices=("bound", "glue", "variants", "matched"),
-                default="bound",
-            )
-            p.add_argument("--coupling", metavar="FILE")
-            p.add_argument("--dual", metavar="FILE")
-        if name == "sample-dual":
-            p.add_argument("--samples", type=int, required=True)
-            p.add_argument("--a-n", type=float, default=None)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _ = COMMANDS[args.command]
+    handler, counts, _, _ = COMMANDS[args.command]
     try:
         # checked here, not by argparse, so that it is reported as bad input
         tol = getattr(args, "tol", None)
         if tol is not None and not math.isfinite(tol):
             raise BadArgument(f"--tol must be a finite number, got {tol}")
-        doc, hypotheses_ok = handler(args)
+        names = _inputs(args, counts)
+        # a value that overflows is refused by a later finiteness check;
+        # numpy's warning about it would only add source lines to stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            doc, hypotheses_ok = handler(args, *names)
         text = dumps(doc) if args.output == "json" else render_text(doc)
     except (ProbFramesError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

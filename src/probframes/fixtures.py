@@ -1,8 +1,8 @@
 """Bundled example measures and couplings.
 
-Small closed-form fixtures used across the test suite and reachable
-from the command line via --fixture. The Gaussian cloud ships as a
-generated file; regenerate_cloud() reproduces it bit for bit.
+Small closed-form fixtures used across the test suite and reached from
+the command line by name, as a positional input. The Gaussian cloud
+ships as a generated file; regenerate_cloud() reproduces it bit for bit.
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ def _as_atoms(atoms) -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise DimMismatch(f"atoms must be an (N, dim) array, got shape {a.shape}")
+    if a.shape[1] == 0:
+        raise DimMismatch(f"atoms need at least one coordinate, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DimMismatch("atoms have non-finite entries")
     return a

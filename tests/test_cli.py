@@ -25,12 +25,6 @@ def test_analyze_fixture():
     assert doc["redundancy_rank"] == 0
 
 
-def test_fixture_flag_equivalent_to_positional():
-    a = run_cli("analyze", "axes_2d")
-    b = run_cli("analyze", "--fixture", "axes_2d")
-    assert a.stdout == b.stdout
-
-
 def test_w2_value():
     r = run_cli("w2", "near_dirac_pair", "dirac_one")
     doc = json.loads(r.stdout)
@@ -122,6 +116,14 @@ def test_validation_errors_exit_2(tmp_path):
         (tmp_path / name).write_text(json.dumps(doc))
         r = run_cli("analyze", str(tmp_path / name))
         assert r.returncode == 2, r.stderr
+    # atoms without a coordinate: no frame to analyse and no cost to move
+    flat = tmp_path / "zero_dim.json"
+    flat.write_text(json.dumps({"atoms": [[]]}))
+    for argv in (["analyze", flat], ["canonical-dual", flat], ["w2", flat, flat]):
+        r = run_cli(*map(str, argv))
+        assert r.returncode == 2 and r.stderr == (
+            "error: atoms need at least one coordinate, got shape (1, 0)\n"
+        ), (argv, r.stderr)
     plan = tmp_path / "plan_object.json"
     plan.write_text(json.dumps({"source": axes, "target": axes, "plan": {"p": 1.0}}))
     assert run_cli("coupling-check", str(plan)).returncode == 2
@@ -153,7 +155,8 @@ def test_validation_errors_exit_2(tmp_path):
     # coordinates near 1e160 are finite, but their squared distances and
     # the search's oracle costs overflow; near 1e154 the squared distances
     # are finite, but the simplex's potentials and reduced costs overflow:
-    # bad input, refused before any pivot
+    # bad input, refused before any pivot, and stderr is the error line
+    # alone, with no numpy warning naming a source line
     third = [1 / 3] * 3
     docs = (
         ({**axes, "atoms": [[1e160, 0.0], [0.0, 1e160]]},
@@ -168,7 +171,14 @@ def test_validation_errors_exit_2(tmp_path):
         for command in ("w2", "certify"):
             r = run_cli(command, *map(str, paths))
             assert r.returncode == 2, (command, pair, r.stderr)
-            assert "error: cost matrix has entries too large or not finite" in r.stderr
+            assert r.stderr == (
+                "error: cost matrix has entries too large or not finite\n"
+            )
+    # near 1e160 the frame operator overflows too
+    for command in ("analyze", "canonical-dual"):
+        r = run_cli(command, str(tmp_path / "huge_0_m.json"))
+        assert r.returncode == 2, (command, r.stderr)
+        assert r.stderr == "error: matrix has non-finite entries\n"
 
 
 def test_each_command_takes_only_the_flags_it_reads(capsys):
@@ -181,8 +191,8 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
         },
         "--iters": {"certify"},
         "--seed": set(),
+        "--fixture": set(),
     }
-    assert set(cli.TOL_COMMANDS) == reads["--tol"]
     parser = cli.build_parser()
     required = {
         "approx-dual": ["--operator", "op"],
@@ -219,6 +229,53 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     r = run_cli("perturb", "axes_2d", "axes_2d", "--mode", "bound", "--tol", "nan")
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "error: --tol must be a finite number, got nan\n"
+
+
+# a good run of each command for each input count its row takes, with its
+# exit code; "c.json" is an exact dual coupling of axes_2d
+GOOD_RUNS = {
+    ("analyze", 1): (["axes_2d"], 0),
+    ("w2", 2): (["near_dirac_pair", "dirac_one"], 0),
+    ("coupling-check", 1): (["permuted_axes_coupling"], 0),
+    ("certify", 1): (["permuted_axes_coupling"], 0),
+    ("certify", 2): (["axes_2d", "axes_2d", "--iters", "200"], 0),
+    ("canonical-dual", 1): (["mean_one_pair"], 0),
+    ("approx-dual", 1): (["axes_2d", "--operator", "axes_2d"], 0),
+    ("neumann", 1): (["c.json", "--terms", "2"], 0),
+    ("rescue", 1): (["c.json"], 0),
+    ("pushforward", 1): (["axes_2d"], 0),
+    ("uncertainty", 1): (["c.json", "--vector", "1,0"], 0),
+    ("bounds-ineq", 1): (["c.json"], 0),
+    ("perturb", 2): (["dirac_one", "dirac_zero", "--mode", "bound"], 3),
+    ("sample-dual", 1): (["shifted_gauss_100", "--samples", "12", "--a-n", "0.3"], 0),
+}
+
+
+def command_input_counts():
+    from probframes import cli
+
+    return [(name, k) for name, row in cli.COMMANDS.items() for k in row[1]]
+
+
+@pytest.mark.parametrize("command, count", command_input_counts())
+def test_every_command_runs_with_each_input_count_it_takes(
+    command, count, tmp_path, monkeypatch, capsys
+):
+    from probframes import cli
+
+    assert set(GOOD_RUNS) == set(command_input_counts())
+    axes = {"atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5]}
+    doubled = {"atoms": [[2.0, 0.0], [0.0, 2.0]], "weights": [0.5, 0.5]}
+    plan = [[0.5, 0.0], [0.0, 0.5]]
+    (tmp_path / "c.json").write_text(
+        json.dumps({"source": axes, "target": doubled, "plan": plan})
+    )
+    monkeypatch.chdir(tmp_path)
+    argv, code = GOOD_RUNS[command, count]
+    # main hands the row's count of inputs to the handler as its parameters
+    assert cli.main([command, *argv]) == code
+    out = capsys.readouterr()
+    assert out.err == "" and isinstance(json.loads(out.out), dict)
 
 
 def test_perturb_certifies_glue_and_variants_at_the_given_tol(tmp_path):
@@ -341,16 +398,16 @@ def test_runs_without_scipy():
 def test_bugs_exit_1_even_when_they_raise_value_error(monkeypatch, capsys):
     from probframes import cli
 
-    def raises(args):
+    def raises(args, name):
         raise ValueError("a handler bug")
 
-    def non_finite(args):
+    def non_finite(args, name):
         return {"value": float("nan")}, True
 
-    monkeypatch.setitem(cli.COMMANDS, "analyze", (raises, ""))
+    monkeypatch.setitem(cli.COMMANDS, "analyze", (raises, (1,), "", ()))
     assert cli.main(["analyze", "axes_2d"]) == 1
     assert capsys.readouterr().err == "internal error: ValueError: a handler bug\n"
-    monkeypatch.setitem(cli.COMMANDS, "analyze", (non_finite, ""))
+    monkeypatch.setitem(cli.COMMANDS, "analyze", (non_finite, (1,), "", ()))
     assert cli.main(["analyze", "axes_2d"]) == 1
     out = capsys.readouterr()
     assert out.out == ""

@@ -40,6 +40,15 @@ def test_weight_validation():
         DiscreteMeasure([[0.0], [1.0]], [0.5, 0.25, 0.25])
 
 
+def test_atoms_need_a_coordinate():
+    # shape (N, 0): no frame operator to invert and no distance to measure
+    for atoms, weights in (([[]], [1.0]), ([[], []], [0.5, 0.5])):
+        with pytest.raises(DimMismatch, match="at least one coordinate"):
+            DiscreteMeasure(atoms, weights)
+    with pytest.raises(DimMismatch, match="at least one coordinate"):
+        measure_from_dict({"atoms": [[]]})
+
+
 def test_arrays_are_frozen():
     m = uniform([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):

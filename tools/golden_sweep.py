@@ -84,7 +84,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     files: dict[str, object] = {}
     groups: dict[str, list[str]] = {
         "measure": [], "coupling": [], "matrix": [], "bad": [], "subsample": [],
-        "high_dim": [], "interior": [], "large": [],
+        "high_dim": [], "interior": [], "large": [], "refused": [],
     }
 
     def put(kind: str, name: str, doc):
@@ -176,6 +176,20 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         atoms[180:] = atoms[large_rng.choice(180, 20, replace=False)]
         put("large", name, _measure_doc(atoms, _weights(large_rng, 200)))
 
+    # a pair built like tests/test_transport.py::interior_pair, seeded 13:
+    # an exact dual plan lies inside the polytope, but the search stops on
+    # its relative gap and certifies "approximate"
+    found_rng = np.random.default_rng(13)
+    x = found_rng.standard_normal((15, 3))
+    w = found_rng.uniform(0.5, 1.5, 15)
+    w /= w.sum()
+    q = found_rng.uniform(0.5, 1.5, (15, 15))
+    plan = q * (w / q.sum(axis=1))[:, None]
+    v = plan.sum(axis=0)
+    put("interior", "found_15x3_mu", _measure_doc(x, w))
+    put("interior", "found_15x3_nu",
+        _measure_doc(np.linalg.pinv(x.T @ plan), v / v.sum()))
+
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
         _graph_doc(cloud, cloud_w, _dual_images(cloud, cloud_w)))
@@ -230,6 +244,11 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     })
     put("bad", "operator_atoms_object", {"atoms": {"x": 1.0}})
     put("bad", "operator_text", {"entries": [["a", "b"], ["c", "d"]]})
+    # bad input that only some commands reach: finite coordinates whose
+    # squares overflow, and atoms without a coordinate
+    put("refused", "huge_1d",
+        _measure_doc([[1e160], [-2e160], [3e160]], [0.25, 0.25, 0.5]))
+    put("refused", "zero_dim", {"atoms": [[]]})
 
     root.mkdir(parents=True)
     for path, doc in files.items():
@@ -347,6 +366,11 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["sample-dual", "axes_2d", "--samples", "1"],
         ["analyze"],
         ["no-such-command"],
+        ["w2", gen("huge_1d"), gen("huge_1d")],
+        ["certify", gen("huge_1d"), gen("huge_1d")],
+        ["analyze", gen("huge_1d")],
+        ["analyze", gen("zero_dim")],
+        ["certify", gen("found_15x3_mu"), gen("found_15x3_nu")],
     ]
     return argvs
 
