@@ -31,7 +31,7 @@ from .errors import (
     SingularMixedOperator,
     SourceMismatch,
 )
-from .frames import analyze, frame_operator, _inverse_frame_operator
+from .frames import analyze, frame_operator
 from .measures import DiscreteMeasure, same_measure
 from .numerics import inverse, spectral_norm
 from .transport import Coupling, graph_coupling, mixed_frame_operator, push_target
@@ -118,8 +118,7 @@ def approx_dual_pushforward(
         raise DeviationTooLarge(
             f"||A - Id|| = {deviation:.6g} is not below 1"
         )
-    s_inv = _inverse_frame_operator(mu)
-    coupling = graph_coupling(mu, mu.atoms @ s_inv @ a)
+    coupling = graph_coupling(mu, mu.atoms @ analyze(mu).inverse() @ a)
     return coupling.target, coupling
 
 
@@ -138,8 +137,7 @@ def pushforward_dual(mu: DiscreteMeasure, h) -> tuple[DiscreteMeasure, Coupling]
         raise MissingImage(
             f"need a {mu.size} x {mu.dim} array of h-values, got {hv.shape}"
         )
-    s_inv = _inverse_frame_operator(mu)
-    base = mu.atoms @ s_inv
+    base = mu.atoms @ analyze(mu).inverse()
     h_moment = mu.atoms.T @ (mu.weights[:, None] * hv)
     images = base + hv - base @ h_moment
     coupling = graph_coupling(mu, images)

@@ -17,27 +17,15 @@ from .errors import BadArgument
 from .measures import DiscreteMeasure, measure_from_dict, uniform
 from .transport import Coupling, coupling_from_dict
 
-MEASURES = (
-    "dirac_one",
-    "dirac_zero",
-    "mean_one_pair",
-    "mean_one_triple",
-    "small_pair",
-    "axes_2d",
-    "sym_pair_1d",
-    "near_dirac_pair",
-    "shifted_gauss_100",
-)
-COUPLINGS = ("permuted_axes_coupling",)
-
 CLOUD_SEED = 7
 CLOUD_SIZE = 100
 
 
 def fixture_path(name: str) -> Path:
-    path = Path(str(resources.files("probframes") / "fixtures" / f"{name}.json"))
+    folder = Path(str(resources.files("probframes") / "fixtures"))
+    path = folder / f"{name}.json"
     if not path.exists():
-        known = ", ".join(sorted(MEASURES + COUPLINGS))
+        known = ", ".join(sorted(p.stem for p in folder.glob("*.json")))
         raise FileNotFoundError(f"no fixture '{name}' (known: {known})")
     return path
 

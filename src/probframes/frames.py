@@ -34,6 +34,15 @@ class FrameReport:
     is_parseval: bool
     second_moment: float
 
+    def inverse(self) -> np.ndarray:
+        """Inverse frame operator S^{-1}; NotAFrame when S does not invert."""
+        if not self.is_frame:
+            raise NotAFrame(
+                f"smallest frame-operator eigenvalue {self.lower_bound:.3e} "
+                "is not positive within tolerance"
+            )
+        return inverse(self.frame_operator)
+
 
 def frame_operator(m: DiscreteMeasure) -> np.ndarray:
     """Second-moment matrix sum_i w_i x_i x_i^T."""
@@ -65,16 +74,6 @@ def analyze(m: DiscreteMeasure, tol: float = FRAME_RTOL) -> FrameReport:
     )
 
 
-def _inverse_frame_operator(m: DiscreteMeasure) -> np.ndarray:
-    report = analyze(m)
-    if not report.is_frame:
-        raise NotAFrame(
-            f"smallest frame-operator eigenvalue {report.lower_bound:.3e} "
-            "is not positive within tolerance"
-        )
-    return inverse(report.frame_operator)
-
-
 def canonical_dual(m: DiscreteMeasure) -> tuple[DiscreteMeasure, Coupling]:
     """Canonical dual measure with its graph coupling.
 
@@ -82,14 +81,14 @@ def canonical_dual(m: DiscreteMeasure) -> tuple[DiscreteMeasure, Coupling]:
     frame operator is the inverse of the original one, so its bounds are
     the reciprocals of the original bounds in swapped order.
     """
-    s_inv = _inverse_frame_operator(m)
+    s_inv = analyze(m).inverse()
     coupling = graph_coupling(m, m.atoms @ s_inv)
     return coupling.target, coupling
 
 
 def rkhs_kernel(m: DiscreteMeasure, x, y) -> float:
     """Reproducing kernel x^T S^{-1} y of the analysis-operator range."""
-    s_inv = _inverse_frame_operator(m)
+    s_inv = analyze(m).inverse()
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     return float(xv @ s_inv @ yv)
@@ -101,7 +100,7 @@ def reproducing_check(m: DiscreteMeasure, u, z) -> float:
     Evaluates |sum_i w_i <u, x_i> K(z, x_i) - <u, z>|, which vanishes
     because sum_i w_i x_i x_i^T S^{-1} is the identity.
     """
-    s_inv = _inverse_frame_operator(m)
+    s_inv = analyze(m).inverse()
     uv = np.asarray(u, dtype=float).reshape(-1)
     zv = np.asarray(z, dtype=float).reshape(-1)
     kernel_at_atoms = m.atoms @ (s_inv @ zv)

@@ -187,7 +187,7 @@ def dirac(point) -> DiscreteMeasure:
 def uniform(atoms) -> DiscreteMeasure:
     """Equal mass on the given atoms."""
     a = _as_atoms(atoms)
-    return DiscreteMeasure(a, np.full(a.shape[0], 1.0 / a.shape[0]))
+    return DiscreteMeasure(a, np.full(a.shape[0], 1.0) / a.shape[0])
 
 
 def validate(

@@ -19,6 +19,7 @@ from .duals import (
     EXACT_TOL,
     DualCertificate,
     _require_inverse,
+    approx_dual_pushforward,
     certificate_to_dict,
     certify,
 )
@@ -27,15 +28,16 @@ from .errors import (
     EtaNotFrame,
     InternalInvariantError,
     MarginalMismatch,
+    NotAFrame,
     NotApproximate,
     NotExactDual,
     TooFewSamples,
 )
 from .frames import analyze, canonical_dual
 from .measures import DiscreteMeasure, same_measure, uniform
-from .numerics import eig_sym, inverse, sq_dists
+from .numerics import eig_sym, sq_dists
 from . import transport as _transport
-from .transport import Coupling, glue, graph_coupling, solve_w2, transport_cost
+from .transport import Coupling, glue, solve_w2, transport_cost
 
 
 @dataclass(frozen=True)
@@ -272,12 +274,10 @@ def matched_mixed_dual(
             f"coupling cost {lam:.6g} does not certify eta as a frame "
             f"(needs < {a_mu:.6g})"
         )
-    eta_report = analyze(eta)
-    if not eta_report.is_frame:
-        raise EtaNotFrame("perturbed measure is not a frame")
-    s_inv = inverse(eta_report.frame_operator)
-    coupling = graph_coupling(eta, eta.atoms @ s_inv @ base_cert.mixed_operator)
-    return coupling.target, coupling
+    try:
+        return approx_dual_pushforward(eta, base_cert.mixed_operator)
+    except NotAFrame:
+        raise EtaNotFrame("perturbed measure is not a frame") from None
 
 
 # ---------------------------------------------------------------------------

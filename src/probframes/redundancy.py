@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFrame, Singular
+from .errors import Singular
 from .frames import analyze
 from .measures import DiscreteMeasure, COALESCE_TOL
 from .numerics import inverse, numeric_rank
-
-EQUIVALENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,7 @@ def redundancy_trace(m: DiscreteMeasure) -> float:
     an invertible frame operator.
     """
     merged = m.coalesce(COALESCE_TOL)
-    report = analyze(merged)
-    if not report.is_frame:
-        raise NotAFrame("redundancy_trace needs a frame operator that inverts")
-    s_inv = inverse(report.frame_operator)
+    s_inv = analyze(merged).inverse()
     diag = np.einsum("ij,jk,ik->i", merged.atoms, s_inv, merged.atoms)
     return float(np.sum(1.0 - merged.weights * diag))
 

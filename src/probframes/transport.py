@@ -105,19 +105,27 @@ def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     return Coupling(mu, nu, np.outer(mu.weights, nu.weights))
 
 
+def _merged_images(images, weights) -> tuple[DiscreteMeasure, np.ndarray]:
+    """The measure of weighted images, colliding ones merged into one atom.
+
+    Returns that measure and, for each image, the index of its atom.
+    """
+    imgs = np.asarray(images, dtype=float)
+    if imgs.ndim == 1:
+        imgs = imgs.reshape(-1, 1)
+    if imgs.shape[0] != weights.shape[0]:
+        raise DimMismatch(f"need {weights.shape[0]} images, got {imgs.shape[0]}")
+    reps, assign = group_atoms(imgs, COALESCE_TOL)
+    return merge_atoms(imgs, weights, reps, assign), assign
+
+
 def graph_coupling(mu: DiscreteMeasure, images) -> Coupling:
     """Coupling concentrated on the graph of an atom-indexed map.
 
     images[i] is where atom i goes; colliding images are merged into a
     single target atom whose plan column collects the incoming mass.
     """
-    imgs = np.asarray(images, dtype=float)
-    if imgs.ndim == 1:
-        imgs = imgs.reshape(-1, 1)
-    if imgs.shape[0] != mu.size:
-        raise DimMismatch(f"need {mu.size} images, got {imgs.shape[0]}")
-    reps, assign = group_atoms(imgs, COALESCE_TOL)
-    target = merge_atoms(imgs, mu.weights, reps, assign)
+    target, assign = _merged_images(images, mu.weights)
     plan = np.zeros((mu.size, target.size))
     plan[np.arange(mu.size), assign] = mu.weights
     return Coupling(mu, target, plan)
@@ -130,13 +138,7 @@ def push_target(c: Coupling, images) -> Coupling:
     with T given extensionally on the target atoms. Colliding images are
     merged and their plan columns summed.
     """
-    imgs = np.asarray(images, dtype=float)
-    if imgs.ndim == 1:
-        imgs = imgs.reshape(-1, 1)
-    if imgs.shape[0] != c.target.size:
-        raise DimMismatch(f"need {c.target.size} images, got {imgs.shape[0]}")
-    reps, assign = group_atoms(imgs, COALESCE_TOL)
-    target = merge_atoms(imgs, c.target.weights, reps, assign)
+    target, assign = _merged_images(images, c.target.weights)
     plan = np.zeros((c.source.size, target.size))
     np.add.at(plan.T, assign, c.plan.T)
     return Coupling(c.source, target, plan)

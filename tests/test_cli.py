@@ -116,6 +116,14 @@ def test_validation_errors_exit_2(tmp_path):
         (tmp_path / name).write_text(json.dumps(doc))
         r = run_cli("analyze", str(tmp_path / name))
         assert r.returncode == 2, r.stderr
+    # no atoms, with or without weights: the same bad-input line
+    empty = tmp_path / "empty_atoms.json"
+    empty.write_text(json.dumps({"atoms": []}))
+    for argv in (["analyze", empty], ["w2", empty, "axes_2d"]):
+        r = run_cli(*map(str, argv))
+        assert r.returncode == 2 and r.stderr == (
+            "error: measure needs at least one atom\n"
+        ), (argv, r.stderr)
     # atoms without a coordinate: no frame to analyse and no cost to move
     flat = tmp_path / "zero_dim.json"
     flat.write_text(json.dumps({"atoms": [[]]}))

@@ -32,7 +32,10 @@ def test_dirac_one_is_parseval():
 def test_dirac_zero_is_not_a_frame():
     report = analyze(dirac([0.0]))
     assert not report.is_frame
-    with pytest.raises(NotAFrame):
+    with pytest.raises(NotAFrame, match=(
+        r"^smallest frame-operator eigenvalue 0\.000e\+00 "
+        "is not positive within tolerance$"
+    )):
         canonical_dual(dirac([0.0]))
 
 

@@ -140,6 +140,9 @@ def test_dirac_and_uniform():
     assert d.size == 1 and d.weights[0] == 1.0
     u = uniform([[0.0], [1.0], [2.0], [3.0]])
     assert np.abs(u.weights - 0.25).max() < 1e-15
+    # no atoms is bad input, not a division by zero
+    with pytest.raises(BadWeights, match="^measure needs at least one atom$"):
+        uniform([])
 
 
 def test_mixture():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from probframes import perturbation, transport
-from probframes.duals import certify
+from probframes.duals import approx_dual_pushforward, certify
 from probframes.errors import (
     EtaNotFrame,
     InternalInvariantError,
@@ -152,6 +152,11 @@ def test_matched_mixed_dual_reproduces_operator():
         got = certify(coupling).mixed_operator
         assert np.abs(got - base_op).max() < 1e-9
         assert coupling.source is not None
+        # the pushforward-type approximate dual (A^T S_eta^{-1})#eta
+        same_xi, same = approx_dual_pushforward(eta, base_op)
+        assert xi.atoms.tobytes() == same_xi.atoms.tobytes()
+        assert xi.weights.tobytes() == same_xi.weights.tobytes()
+        assert coupling.plan.tobytes() == same.plan.tobytes()
 
 
 def test_matched_needs_small_cost():

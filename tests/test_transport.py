@@ -22,7 +22,7 @@ from probframes.errors import (
 )
 from probframes.fixtures import load_coupling, load_measure, near_dirac_family
 from probframes.jsonio import dumps
-from probframes.measures import DiscreteMeasure, dirac, uniform
+from probframes.measures import COALESCE_TOL, DiscreteMeasure, dirac, uniform
 from probframes.numerics import sq_dists
 from probframes.perturbation import greedy_subsample
 from probframes.transport import (
@@ -135,6 +135,38 @@ def test_push_target_merges_columns():
     p = c.plan
     expected = np.column_stack([p[:, 0] + p[:, 2], p[:, 1] + p[:, 4], p[:, 3]])
     assert np.array_equal(pushed.plan, expected)
+
+
+@st.composite
+def colliding_images(draw):
+    """A measure with weights down to 1e-9 and images of its atoms drawn
+    from a few points: exact duplicates, copies moved by less than
+    COALESCE_TOL, coordinate scales from 1e-4 to 1e4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size, dim = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    w = 10.0 ** rng.uniform(-9.0, 0.0, size)
+    mu = DiscreteMeasure(scale * rng.standard_normal((size, dim)), w / w.sum())
+    points = scale * rng.standard_normal((draw(st.integers(1, size)), dim))
+    images = points[rng.integers(0, len(points), size)]
+    nudge = rng.standard_normal((size, dim))
+    nudge *= 0.5 * COALESCE_TOL / np.linalg.norm(nudge, axis=1, keepdims=True)
+    images = images + nudge * (rng.random((size, 1)) < 0.5)
+    if dim == 1 and draw(st.booleans()):
+        images = images.reshape(-1).tolist()  # a flat list of 1-D points
+    return mu, images
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(colliding_images())
+def test_graph_coupling_is_the_pushed_diagonal_coupling(case):
+    mu, images = case
+    graph = graph_coupling(mu, images)
+    pushed = push_target(Coupling(mu, mu, np.diag(mu.weights)), images)
+    assert graph.source is mu and pushed.source is mu
+    assert graph.target.atoms.tobytes() == pushed.target.atoms.tobytes()
+    assert graph.target.weights.tobytes() == pushed.target.weights.tobytes()
+    assert graph.plan.tobytes() == pushed.plan.tobytes()
 
 
 def test_mixed_operator_product_value():

@@ -226,6 +226,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     put("bad", "weights_negative", {"atoms": [[1.0], [2.0]], "weights": [1.5, -0.5]})
     put("bad", "no_atoms", {"weights": [1.0]})
     put("bad", "empty_atoms", {"atoms": [], "weights": []})
+    put("bad", "empty_atoms_uniform", {"atoms": []})
     put("bad", "not_object", [1, 2, 3])
     put("bad", "plan_object", {
         "source": _measure_doc(axes, [0.5, 0.5]),
