@@ -215,7 +215,9 @@ def _cmd_pushforward(args, name):
 def _cmd_uncertainty(args, name):
     f = _as_floats(args.vector.split(","), BadArgument)
     lhs, rhs = uncertainty_product(_coupling(name), f)
-    return {"lhs": lhs, "rhs": rhs, "satisfied": bool(lhs >= rhs - 1e-9)}, True
+    # both sides grow as |f|^4, so equality is judged by a relative slack
+    satisfied = bool(lhs >= rhs * (1 - 1e-9))
+    return {"lhs": lhs, "rhs": rhs, "satisfied": satisfied}, True
 
 
 def _cmd_bounds_ineq(args, name):

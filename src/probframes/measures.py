@@ -22,9 +22,9 @@ SAME_TOL = 1e-10
 
 
 def _as_floats(value, error) -> np.ndarray:
-    """value as a float array; error(text) when it is not numeric."""
+    """value as a new float array; error(text) when it is not numeric."""
     try:
-        return np.asarray(value, dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, ValueError) as err:
         raise error(str(err)) from None
 
@@ -45,14 +45,17 @@ def _as_atoms(atoms) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Probability measure with finite support in R^dim."""
+    """Probability measure with finite support in R^dim.
+
+    It holds read-only copies of the arrays it is given.
+    """
 
     atoms: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         atoms = _as_atoms(self.atoms)
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        weights = np.array(self.weights, dtype=float).reshape(-1)
         if atoms.shape[0] == 0:
             raise BadWeights("measure needs at least one atom")
         if weights.shape[0] != atoms.shape[0]:

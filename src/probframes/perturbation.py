@@ -84,9 +84,27 @@ def _expect_marginals(c: Coupling, *sides: DiscreteMeasure):
             raise MarginalMismatch(f"coupling {side} is not the expected measure")
 
 
-def _bound_estimate(a: float, lam: float) -> float | None:
-    """Guaranteed lower bound (sqrt(A) - sqrt(lambda))^2; None unless lambda < A."""
-    return (math.sqrt(a) - math.sqrt(lam)) ** 2 if lam < a else None
+def _closeness(
+    mu: DiscreteMeasure, base: Coupling, eta: DiscreteMeasure, c: Coupling
+) -> tuple[float, float]:
+    """The setting of the perturbation theorems: (lambda, A).
+
+    Raises unless the base coupling starts at mu and c couples eta to
+    mu; lambda is the quadratic cost of c and A mu's lower frame bound.
+    """
+    _expect_marginals(base, mu)
+    _expect_marginals(c, eta, mu)
+    return transport_cost(c), analyze(mu).lower_bound
+
+
+def _report(lam: float, a: float, **parts) -> PerturbationReport:
+    """Report of a coupling of cost lam set against a lower frame bound a.
+
+    Its guaranteed bound is (sqrt(a) - sqrt(lam))^2, None unless lam < a;
+    parts are the report's flags, certificate and details.
+    """
+    estimate = (math.sqrt(a) - math.sqrt(lam)) ** 2 if lam < a else None
+    return PerturbationReport(lam, estimate, **parts)
 
 
 def _glued_certificate(
@@ -125,21 +143,22 @@ def perturbed_frame_bound(
         _expect_marginals(c, eta, mu)
     lam = transport_cost(c)
     a = mu_report.lower_bound
-    close = lam < a
-    estimate = _bound_estimate(a, lam)
     eta_lower = analyze(eta).lower_bound
-    if close and eta_lower < estimate - 1e-9:
+    report = _report(
+        lam,
+        a,
+        flags=HypothesisFlags(quadratic_closeness=lam < a),
+        certificate=None,
+        details={"base_lower_bound": a, "eta_lower_bound": eta_lower},
+    )
+    estimate = report.lower_bound_estimate
+    # the rounding of both bounds grows with the frame operator; so does the slack
+    if estimate is not None and eta_lower < estimate - 1e-9 * mu_report.upper_bound:
         raise InternalInvariantError(
             "perturbation bound violated: measured "
             f"{eta_lower:.17g} below estimate {estimate:.17g}"
         )
-    return PerturbationReport(
-        quadratic_cost=lam,
-        lower_bound_estimate=estimate,
-        flags=HypothesisFlags(quadratic_closeness=close),
-        certificate=None,
-        details={"base_lower_bound": a, "eta_lower_bound": eta_lower},
-    )
+    return report
 
 
 def perturbed_approx_dual(
@@ -162,10 +181,7 @@ def perturbed_approx_dual(
         raise NotExactDual(
             f"base coupling certifies as {base.classification}, not exact"
         )
-    _expect_marginals(nu_dual, mu)
-    _expect_marginals(c, eta, mu)
-    lam = transport_cost(c)
-    a = analyze(mu).lower_bound
+    lam, a = _closeness(mu, nu_dual, eta, c)
     cap = analyze(nu_dual.target).upper_bound
     close = lam < a
     product_ok = a * cap <= 1.0 + 1e-12
@@ -175,9 +191,9 @@ def perturbed_approx_dual(
         math.sqrt(a * cap) + 1e-9 if close and product_ok else None,
         tol=tol,
     )
-    return PerturbationReport(
-        quadratic_cost=lam,
-        lower_bound_estimate=_bound_estimate(a, lam),
+    return _report(
+        lam,
+        a,
         flags=HypothesisFlags(quadratic_closeness=close, product_bound=product_ok),
         certificate=glued_cert,
         details={"base_lower_bound": a, "dual_upper_bound": cap},
@@ -185,15 +201,21 @@ def perturbed_approx_dual(
 
 
 def _displacement_matrix(c: Coupling) -> np.ndarray:
-    """Second moment of the displacement x - y under a coupling."""
+    """Second moment of the displacement x - y under a coupling.
+
+    It is symmetric by definition, and returned exactly symmetric: its
+    terms cancel when y is near x, leaving an asymmetry of the order of
+    their rounding, which grows with the coordinates.
+    """
     x, y, p = c.source.atoms, c.target.atoms, c.plan
     cross = x.T @ p @ y
-    return (
+    m = (
         (x * p.sum(axis=1)[:, None]).T @ x
         + (y * p.sum(axis=0)[:, None]).T @ y
         - cross
         - cross.T
     )
+    return 0.5 * (m + m.T)
 
 
 def variant_certificates(
@@ -213,11 +235,9 @@ def variant_certificates(
     the glued deviation below 1. tol is the exactness tolerance of the
     glued certificate.
     """
-    _expect_marginals(base, mu)
-    _expect_marginals(c, eta, mu)
+    lam, a = _closeness(mu, base, eta, c)
     base_cert = certify(base)
     a_inv = _require_inverse(base_cert.mixed_operator)
-    lam = transport_cost(c)
     c_direction = eig_sym(_displacement_matrix(c)).largest
     nu = base.target
     moment_ok = None
@@ -229,10 +249,9 @@ def variant_certificates(
     glued_cert = _glued_certificate(
         c, base, 1.0 + 1e-9 if moment_ok or inverse_ok else None, tol=tol
     )
-    a = analyze(mu).lower_bound
-    return PerturbationReport(
-        quadratic_cost=lam,
-        lower_bound_estimate=_bound_estimate(a, lam),
+    return _report(
+        lam,
+        a,
         flags=HypothesisFlags(
             quadratic_closeness=lam < a,
             moment_bound=moment_ok,
@@ -265,10 +284,7 @@ def matched_mixed_dual(
         raise NotApproximate(
             f"base deviation {base_cert.deviation:.6g} is not below 1"
         )
-    _expect_marginals(base, mu)
-    _expect_marginals(c, eta, mu)
-    lam = transport_cost(c)
-    a_mu = analyze(mu).lower_bound
+    lam, a_mu = _closeness(mu, base, eta, c)
     if not lam < a_mu:
         raise EtaNotFrame(
             f"coupling cost {lam:.6g} does not certify eta as a frame "
@@ -419,13 +435,12 @@ def discrete_dual_pipeline(
     glued_cert = _glued_certificate(
         transport.plan, dual_coupling, 1.0 if w2_ok and product_ok else None
     )
-    lam = transport.cost
     return (
         mu_hat,
         nu_hat,
-        PerturbationReport(
-            quadratic_cost=lam,
-            lower_bound_estimate=_bound_estimate(a_eta, lam),
+        _report(
+            transport.cost,
+            a_eta,
             flags=HypothesisFlags(
                 quadratic_closeness=w2_ok, product_bound=product_ok
             ),

@@ -57,7 +57,8 @@ class Coupling:
 
     plan[i, j] is the mass moved from source atom i to target atom j.
     Rows must sum to the source weights and columns to the target
-    weights within MARGINAL_TOL; entries must be nonnegative.
+    weights within MARGINAL_TOL; entries must be nonnegative. The plan
+    held is a read-only copy of the one given.
     """
 
     source: DiscreteMeasure
@@ -65,7 +66,7 @@ class Coupling:
     plan: np.ndarray
 
     def __post_init__(self):
-        plan = np.asarray(self.plan, dtype=float)
+        plan = np.array(self.plan, dtype=float)
         if plan.shape != (self.source.size, self.target.size):
             raise DimMismatch(
                 f"plan shape {plan.shape} does not match "

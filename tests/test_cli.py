@@ -83,6 +83,23 @@ def test_uncertainty_command(tmp_path):
     assert doc["rhs"] == 1.0
 
 
+def test_uncertainty_equality_is_satisfied(tmp_path):
+    # S is diagonal, so f along an axis is an eigenvector and lhs = rhs =
+    # |f|^4 in exact arithmetic; both sides round at the scale of 1e12
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps({"atoms": [[1.27, 0], [-0.72, 0], [0, 1.93]]}))
+    r = run_cli("canonical-dual", str(measure))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(json.loads(r.stdout)["coupling"]))
+    # argparse reads "-1000,0" after a space as an option, so the = form
+    for vector in ("--vector=1000,0", "--vector=-1000,0"):
+        q = run_cli("uncertainty", str(path), vector)
+        assert q.returncode == 0, q.stderr
+        doc = json.loads(q.stdout)
+        assert doc["rhs"] == 1e12
+        assert doc["satisfied"] is True
+
+
 def test_text_output_mode():
     r = run_cli("analyze", "dirac_one", "--output", "text")
     assert r.returncode == 0

@@ -57,6 +57,19 @@ def test_arrays_are_frozen():
         m.weights[0] = 0.9
 
 
+def test_records_copy_the_callers_arrays():
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    w = np.array([0.5, 0.5])
+    m = DiscreteMeasure(x, w)
+    u = uniform(x)
+    assert x.flags.writeable and w.flags.writeable
+    x[0, 0] = 5.0
+    w[0], w[1] = 0.9, -0.4
+    for record in (m, u):
+        assert record.atoms.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert record.weights.tolist() == [0.5, 0.5]
+
+
 def test_second_moment():
     m = DiscreteMeasure([[1.0, 0.0], [0.0, 2.0]], [0.25, 0.75])
     # 0.25 * 1 + 0.75 * 4

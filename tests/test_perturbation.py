@@ -168,6 +168,37 @@ def test_matched_needs_small_cost():
         matched_mixed_dual(mu, base, eta, c)
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+def test_perturbation_theorems_at_every_coordinate_scale(scale):
+    # the rounding of frame bounds grows with the coordinates, so the
+    # checks on the package's own results must not fire on any scale.
+    # Each frame holds the standard basis among at most 6 atoms weighing
+    # 0.2 to 1 before normalising, so its lower frame bound is at least
+    # scale**2 / 30, above analyze's frame threshold at every scale here.
+    rng = np.random.default_rng(2023)
+    for _ in range(30):
+        dim = int(rng.integers(1, 4))
+        size = dim + int(rng.integers(1, 4))
+        atoms = np.vstack([np.eye(dim), rng.standard_normal((size - dim, dim))])
+        w = rng.uniform(0.2, 1.0, size)
+        mu = DiscreteMeasure(scale * atoms, w / w.sum())
+        a = analyze(mu).lower_bound
+        _, base = canonical_dual(mu)
+        for eta in (mu, nudged(rng, mu, 1e-3 * scale)):
+            c = solve_w2(eta, mu).plan
+            for report in (
+                perturbed_frame_bound(mu, eta),
+                perturbed_approx_dual(mu, base, eta, c),
+                variant_certificates(mu, base, eta, c),
+            ):
+                lam = report.quadratic_cost
+                assert lam < a
+                assert report.lower_bound_estimate == (
+                    (math.sqrt(a) - math.sqrt(lam)) ** 2
+                )
+            matched_mixed_dual(mu, base, eta, c)
+
+
 def test_greedy_subsample_properties():
     eta = load_measure("shifted_gauss_100")
     sub = greedy_subsample(eta, 10)

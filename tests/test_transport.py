@@ -84,6 +84,15 @@ def test_coupling_requires_matching_marginals():
         Coupling(two, two, np.array([[0.75, -0.25], [-0.25, 0.75]]))
 
 
+def test_coupling_copies_the_callers_plan():
+    two = uniform([[0.0], [1.0]])
+    plan = np.array([[0.5, 0.0], [0.0, 0.5]])
+    c = Coupling(two, two, plan)
+    assert plan.flags.writeable
+    plan[0] = [0.0, 0.5]
+    assert c.plan.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
 def test_product_and_graph_couplings():
     mu = uniform([[0.0], [1.0]])
     nu = uniform([[2.0], [3.0]])

@@ -78,6 +78,18 @@ def _dual_images(atoms, weights, op=None) -> np.ndarray:
     return images if op is None else images @ op
 
 
+def _equality_case():
+    """A seeded 3-atom 2-D measure (atoms, weights) and the text of
+    1e3 times an eigenvector of its frame operator S, at which its
+    canonical-dual coupling meets the uncertainty inequality with
+    equality: both sides are |f|^4 = 1e12 up to rounding."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 2))
+    w = _weights(rng, 3)
+    f = 1e3 * np.linalg.eigh((x * w[:, None]).T @ x)[1][:, 0]
+    return x, w, ",".join(repr(float(t)) for t in f)
+
+
 def write_inputs(root: Path) -> dict[str, list[str]]:
     """Write the generated documents under root; return paths by kind."""
     rng = np.random.default_rng(2024)
@@ -85,6 +97,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     groups: dict[str, list[str]] = {
         "measure": [], "coupling": [], "matrix": [], "bad": [], "subsample": [],
         "high_dim": [], "interior": [], "large": [], "refused": [],
+        "rounding": [],
     }
 
     def put(kind: str, name: str, doc):
@@ -189,6 +202,15 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     put("interior", "found_15x3_mu", _measure_doc(x, w))
     put("interior", "found_15x3_nu",
         _measure_doc(np.linalg.pinv(x.T @ plan), v / v.sum()))
+
+    # results whose rounding grows with the coordinates: a 4-atom 2-D
+    # measure at scale 1e4, perturbed by itself (own generator), and the
+    # canonical-dual coupling of _equality_case's measure
+    bound_rng = np.random.default_rng(2)
+    put("rounding", "scaled_4x2",
+        _measure_doc(1e4 * bound_rng.standard_normal((4, 2)), _weights(bound_rng, 4)))
+    x, w, _ = _equality_case()
+    put("rounding", "equality_dual", _graph_doc(x, w, _dual_images(x, w)))
 
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
@@ -372,6 +394,9 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["analyze", gen("huge_1d")],
         ["analyze", gen("zero_dim")],
         ["certify", gen("found_15x3_mu"), gen("found_15x3_nu")],
+        ["perturb", gen("scaled_4x2"), gen("scaled_4x2"), "--mode", "bound"],
+        # the = form, since argparse takes a value led by "-" for an option
+        ["uncertainty", gen("equality_dual"), f"--vector={_equality_case()[2]}"],
     ]
     return argvs
 
