@@ -226,7 +226,9 @@ def bound_inequalities(c: Coupling, tol: float = 1e-8) -> BoundInequalities:
 
     target_slack = A_nu - 1/(B_mu ||A^{-1}||^2) and symmetrically for
     the source; both are nonnegative up to roundoff, with equality
-    exactly for canonical dual pairs.
+    exactly for canonical dual pairs. A side reads as an equality when
+    its |slack| <= tol times its own lower bound, so the flags do not
+    change when the atoms are scaled.
     """
     source_report = analyze(c.source)
     target_report = analyze(c.target)
@@ -245,8 +247,8 @@ def bound_inequalities(c: Coupling, tol: float = 1e-8) -> BoundInequalities:
         inverse_norm=inv_norm,
         source_slack=source_slack,
         target_slack=target_slack,
-        source_equality=abs(source_slack) <= tol,
-        target_equality=abs(target_slack) <= tol,
+        source_equality=abs(source_slack) <= tol * source_report.lower_bound,
+        target_equality=abs(target_slack) <= tol * target_report.lower_bound,
     )
 
 

@@ -54,13 +54,14 @@ def analyze(m: DiscreteMeasure, tol: float = FRAME_RTOL) -> FrameReport:
 
     The bounds are the extreme eigenvalues of the frame operator, which
     are optimal because x^T S x is exactly the integral of <x, y>^2.
-    A measure counts as a frame when lambda_min > tol * max(1,
-    lambda_max).
+    A measure counts as a frame when lambda_min > tol * lambda_max, a
+    test that scaling the atoms does not change; a measure whose atoms
+    are all zero is not a frame.
     """
     s = frame_operator(m)
-    spec = eig_sym(s)
-    lo, hi = spec.smallest, spec.largest
-    is_frame = lo > tol * max(1.0, hi)
+    w = eig_sym(s)
+    lo, hi = float(w[0]), float(w[-1])
+    is_frame = lo > tol * hi
     is_tight = is_frame and (hi - lo) <= TIGHT_RTOL * hi
     is_parseval = is_tight and abs(hi - 1.0) <= TIGHT_RTOL
     return FrameReport(

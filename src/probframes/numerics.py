@@ -8,8 +8,6 @@ below a relative threshold instead of returning garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadArgument, DimMismatch, NonSymmetric, Singular
@@ -36,32 +34,8 @@ def as_square(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a symmetric matrix.
-
-    eigenvalues are ascending; eigenvectors[:, i] pairs with
-    eigenvalues[i] and the columns are orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def smallest(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def largest(self) -> float:
-        return float(self.eigenvalues[-1])
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
-
-def eig_sym(m) -> Spectrum:
-    """Full spectrum of a symmetric matrix, eigenvalues ascending.
+def eig_sym(m) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending.
 
     Raises NonSymmetric when the asymmetry exceeds SYMMETRY_RTOL relative
     to the largest entry.
@@ -70,9 +44,9 @@ def eig_sym(m) -> Spectrum:
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     if float(np.abs(a - a.T).max() if a.size else 0.0) > SYMMETRY_RTOL * scale:
         raise NonSymmetric("matrix is not symmetric within tolerance")
-    # symmetrize so roundoff in the input cannot leak into LAPACK
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    # symmetrize so roundoff in the input cannot leak into LAPACK; eigh,
+    # since eigvalsh takes another LAPACK path whose last bits differ
+    return np.linalg.eigh(0.5 * (a + a.T))[0]
 
 
 def inverse(m) -> np.ndarray:

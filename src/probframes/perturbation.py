@@ -238,7 +238,7 @@ def variant_certificates(
     lam, a = _closeness(mu, base, eta, c)
     base_cert = certify(base)
     a_inv = _require_inverse(base_cert.mixed_operator)
-    c_direction = eig_sym(_displacement_matrix(c)).largest
+    c_direction = float(eig_sym(_displacement_matrix(c))[-1])
     nu = base.target
     moment_ok = None
     if base_cert.classification == "exact":
@@ -323,6 +323,8 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     for the trial as it stands, whose costs differ from the incumbent's
     only in the candidate's column.
     """
+    if n < 1:
+        raise TooFewSamples(f"subsample size {n} is below 1")
     atoms = eta.atoms
     if n >= eta.size:
         return uniform(atoms)

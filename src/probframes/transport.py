@@ -355,9 +355,9 @@ def _transport_simplex(
     potentials tight on the tree, cost that plan's cost
     fl(sum(plan * cost)), and stats the pivot counts. A tree
     optimal for one cost matrix is a feasible start for any cost matrix
-    with the same marginals; one made for others is rebuilt from its
-    parent list, and one that does not span this problem or needs
-    negative flows raises InternalInvariantError, and a cost matrix
+    with the same marginals; a start made for other marginals raises
+    InternalInvariantError, as a record that does not span its problem
+    or needs negative flows does when it is built, and a cost matrix
     with an entry that is not finite, or so large that a potential or
     reduced cost could overflow, raises Unsupported.
     Pricing is most-negative reduced cost, falling back to Bland's rule
@@ -405,7 +405,7 @@ def _transport_simplex(
     eps = 1e-12 * max(1.0, cmax)
     tree = HungTree(_northwest_tree(a, b), a, b) if start is None else start
     if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():
-        tree = HungTree(tree.parent, a, b)
+        raise InternalInvariantError("simplex start was made for other marginals")
     parent, (depth, flow, nbrs, *_) = tree.parent, tree.walk
     pot = np.array(tree.potentials(cost))
     rows, cols = pot[:m, None], pot[None, m:]

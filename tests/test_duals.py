@@ -21,7 +21,7 @@ from probframes.errors import (
     SourceMismatch,
 )
 from probframes.fixtures import load_coupling, load_measure
-from probframes.frames import canonical_dual
+from probframes.frames import analyze, canonical_dual
 from probframes.measures import DiscreteMeasure
 from probframes.transport import product_coupling
 
@@ -195,6 +195,19 @@ def test_bound_inequalities_equality_for_canonical():
         assert b.target_equality and b.source_equality
         assert b.target_slack >= -1e-10
         assert b.source_slack >= -1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1.0, 1e4])
+def test_frames_and_canonical_pairs_at_every_coordinate_scale(scale):
+    # scaling the atoms by s scales S by s**2, so a frame stays a frame
+    # and its canonical pair meets both bound inequalities with equality
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        unit = random_frame(rng, 2, 4)
+        mu = DiscreteMeasure(scale * unit.atoms, unit.weights)
+        assert analyze(mu).is_frame
+        b = bound_inequalities(canonical_dual(mu)[1])
+        assert b.source_equality and b.target_equality
 
 
 def test_bound_inequalities_slack_nonnegative():

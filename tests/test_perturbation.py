@@ -239,6 +239,12 @@ def swap_search_inputs():
         yield eta, int(rng.integers(dim, 10))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_greedy_subsample_refuses_fewer_than_one_atom(n):
+    with pytest.raises(TooFewSamples):
+        greedy_subsample(load_measure("shifted_gauss_100"), n)
+
+
 def test_greedy_subsample_does_not_depend_on_the_warm_start(monkeypatch):
     # the swap decisions rest on W2 values, not on which optimal tree a
     # solve ends on, so cold solves choose the same subsample

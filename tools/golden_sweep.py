@@ -211,6 +211,15 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         _measure_doc(1e4 * bound_rng.standard_normal((4, 2)), _weights(bound_rng, 4)))
     x, w, _ = _equality_case()
     put("rounding", "equality_dual", _graph_doc(x, w, _dual_images(x, w)))
+    # one seeded 4-atom 2-D frame at scale 1e-6, and the canonical-dual
+    # coupling of the same frame at scale 1e4 (own generator): a frame at
+    # every scale, whose canonical pair meets both bound inequalities with
+    # equality
+    scale_rng = np.random.default_rng(1)
+    x, w = scale_rng.standard_normal((4, 2)), _weights(scale_rng, 4)
+    put("rounding", "tiny_4x2", _measure_doc(1e-6 * x, w))
+    put("rounding", "scaled_dual_4x2",
+        _graph_doc(1e4 * x, w, _dual_images(1e4 * x, w)))
 
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
@@ -395,6 +404,9 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["analyze", gen("zero_dim")],
         ["certify", gen("found_15x3_mu"), gen("found_15x3_nu")],
         ["perturb", gen("scaled_4x2"), gen("scaled_4x2"), "--mode", "bound"],
+        ["analyze", gen("tiny_4x2")],
+        ["canonical-dual", gen("tiny_4x2")],
+        ["bounds-ineq", gen("scaled_dual_4x2")],
         # the = form, since argparse takes a value led by "-" for an option
         ["uncertainty", gen("equality_dual"), f"--vector={_equality_case()[2]}"],
     ]
