@@ -345,8 +345,8 @@ def main(argv=None) -> int:
     try:
         # checked here, not by argparse, so that it is reported as bad input
         tol = getattr(args, "tol", None)
-        if tol is not None and not math.isfinite(tol):
-            raise BadArgument(f"--tol must be a finite number, got {tol}")
+        if tol is not None and not 0.0 <= tol < math.inf:
+            raise BadArgument(f"--tol must be a finite number >= 0, got {tol}")
         names = _inputs(args, counts)
         # a value that overflows is refused by a later finiteness check;
         # numpy's warning about it would only add source lines to stderr

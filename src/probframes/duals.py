@@ -60,8 +60,10 @@ def certify(c: Coupling, tol: float = EXACT_TOL) -> DualCertificate:
     second marginal is guaranteed to be a frame with lower bound
     1/(B_mu ||A^{-1}||^2) and upper bound its second moment.
     """
-    if not np.isfinite(tol):
-        raise BadArgument(f"the exactness tolerance must be finite, got {tol}")
+    if not 0.0 <= tol < np.inf:
+        raise BadArgument(
+            f"the exactness tolerance must be a finite number >= 0, got {tol}"
+        )
     if c.source.dim != c.target.dim:
         raise DimMismatch("dual certification needs equal ambient dimensions")
     a = mixed_frame_operator(c)

@@ -196,9 +196,10 @@ def uniform(atoms) -> DiscreteMeasure:
 def validate(
     m: DiscreteMeasure, merge_duplicates: bool = False, tol: float = COALESCE_TOL
 ) -> DiscreteMeasure:
-    """Re-run the construction checks; optionally coalesce duplicates."""
-    checked = DiscreteMeasure(m.atoms, m.weights)
-    return checked.coalesce(tol) if merge_duplicates else checked
+    """m itself, or m with duplicates coalesced at tol when merge_duplicates
+    is set. Construction has already checked it, and the record holds
+    read-only copies, so there is nothing to check again."""
+    return m.coalesce(tol) if merge_duplicates else m
 
 
 def mixture(measures, coefficients) -> DiscreteMeasure:

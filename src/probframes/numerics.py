@@ -28,9 +28,10 @@ def as_matrix(m) -> np.ndarray:
 
 
 def as_square(m) -> np.ndarray:
+    """as_matrix, refusing a matrix that is not square or is empty."""
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise BadArgument(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] != a.shape[1] or a.size == 0:
+        raise BadArgument(f"expected a nonempty square matrix, got shape {a.shape}")
     return a
 
 
@@ -41,8 +42,7 @@ def eig_sym(m) -> np.ndarray:
     to the largest entry.
     """
     a = as_square(m)
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if float(np.abs(a - a.T).max() if a.size else 0.0) > SYMMETRY_RTOL * scale:
+    if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * float(np.abs(a).max()):
         raise NonSymmetric("matrix is not symmetric within tolerance")
     # symmetrize so roundoff in the input cannot leak into LAPACK; eigh,
     # since eigvalsh takes another LAPACK path whose last bits differ
@@ -58,8 +58,6 @@ def inverse(m) -> np.ndarray:
     """
     a = as_square(m)
     n = a.shape[0]
-    if n == 0:
-        return a.copy()
     scale = float(np.abs(a).max())
     if scale == 0.0:
         raise Singular("zero matrix is not invertible")
@@ -78,18 +76,12 @@ def inverse(m) -> np.ndarray:
 
 def spectral_norm(m) -> float:
     """Largest singular value."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(as_matrix(m), 2))
 
 
 def numeric_rank(m, tol: float | None = None) -> int:
     """Number of singular values above tol (default RANK_RTOL * sigma_max)."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(as_matrix(m), compute_uv=False)
     if s[0] == 0.0:
         return 0
     if tol is None:

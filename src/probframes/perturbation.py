@@ -34,7 +34,7 @@ from .errors import (
     TooFewSamples,
 )
 from .frames import analyze, canonical_dual
-from .measures import DiscreteMeasure, same_measure, uniform
+from .measures import DiscreteMeasure, _as_atoms, same_measure, uniform
 from .numerics import eig_sym, sq_dists
 from . import transport as _transport
 from .transport import Coupling, glue, solve_w2, transport_cost
@@ -311,10 +311,12 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     unchosen atoms.
 
     Each trial's solve is handed the acceptance threshold as refuse_at,
-    and stops with None as soon as a weak-duality bound on its cost, less
-    a rounding margin, reaches it (see transport._transport_simplex).
-    Such a trial would have been refused after a full solve too, and an
-    accepted trial's solve never stops early, so the subsample and every
+    and stops as soon as a weak-duality bound on its cost, less a
+    rounding margin, reaches it (see transport._transport_simplex). It
+    then returns that floor as its cost, which is at or above the
+    threshold and at most the cost a full solve reports, so the trial
+    is refused as it would have been after a full solve; an accepted
+    trial's solve never stops early, so the subsample and every
     accepted solve are those of full solves.
 
     A trial puts its candidate in the swapped-out atom's column and keeps
@@ -355,16 +357,13 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
                     break
                 trial = best.copy()
                 trial[k] = int(cand)
-                solved = _transport._transport_simplex(
+                tree, cost, _ = _transport._transport_simplex(
                     eta.weights,
                     sub_weights,
                     sq[:, trial],
                     start=best_tree,
                     refuse_at=threshold,
                 )
-                if solved is None:
-                    continue
-                tree, cost, _ = solved
                 if cost < threshold:
                     best, best_tree, threshold = trial, tree, cost * (1.0 - 1e-12)
                     improved = True
@@ -401,17 +400,13 @@ def discrete_dual_pipeline(
     estimated = False
     if callable(eta):
         rng = np.random.default_rng(seed)
-        draws = np.asarray(eta(rng, n_samples), dtype=float)
-        if draws.ndim == 1:
-            draws = draws.reshape(-1, 1)
+        draws = _as_atoms(eta(rng, n_samples))
         if n_samples < draws.shape[1]:
             raise TooFewSamples(
                 f"{n_samples} draws cannot span dimension {draws.shape[1]}"
             )
         mu_hat = uniform(draws)
-        reference = uniform(
-            np.asarray(eta(rng, max(200, 4 * n_samples)), dtype=float)
-        )
+        reference = uniform(eta(rng, max(200, 4 * n_samples)))
         reference_report = analyze(reference)
         estimated = True
     else:

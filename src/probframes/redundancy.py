@@ -25,13 +25,10 @@ class SynthesisMatrix:
     """Matrix of the synthesis operator: column i is w_i x_i."""
 
     matrix: np.ndarray
-    weights: np.ndarray
 
 
 def synthesis_matrix(m: DiscreteMeasure) -> SynthesisMatrix:
-    return SynthesisMatrix(
-        matrix=(m.atoms * m.weights[:, None]).T, weights=m.weights
-    )
+    return SynthesisMatrix((m.atoms * m.weights[:, None]).T)
 
 
 def redundancy_rank(m: DiscreteMeasure, tol: float | None = None) -> int:

@@ -36,6 +36,7 @@ from .errors import (
 from .measures import (
     COALESCE_TOL,
     DiscreteMeasure,
+    _as_atoms,
     _as_floats,
     group_atoms,
     measure_from_dict,
@@ -74,7 +75,7 @@ class Coupling:
             )
         if not np.all(np.isfinite(plan)):
             raise MarginalMismatch("plan has non-finite entries")
-        if plan.size and plan.min() < 0.0:
+        if plan.min() < 0.0:
             raise MarginalMismatch(f"plan has negative entry {plan.min():.3e}")
         row_err, col_err = _marginal_errors(plan, self.source, self.target)
         if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
@@ -111,9 +112,7 @@ def _merged_images(images, weights) -> tuple[DiscreteMeasure, np.ndarray]:
 
     Returns that measure and, for each image, the index of its atom.
     """
-    imgs = np.asarray(images, dtype=float)
-    if imgs.ndim == 1:
-        imgs = imgs.reshape(-1, 1)
+    imgs = _as_atoms(images)
     if imgs.shape[0] != weights.shape[0]:
         raise DimMismatch(f"need {weights.shape[0]} images, got {imgs.shape[0]}")
     reps, assign = group_atoms(imgs, COALESCE_TOL)
@@ -347,7 +346,7 @@ def _dual_margin(a: np.ndarray, b: np.ndarray, cmax: float, pot, u) -> float:
 
 def _transport_simplex(
     a: np.ndarray, b: np.ndarray, cost: np.ndarray, start=None, refuse_at=None
-) -> tuple[HungTree, float, SolveStats] | None:
+) -> tuple[HungTree | None, float, SolveStats]:
     """Minimize <cost, plan> over the transportation polytope.
 
     Returns (tree, cost, stats): tree the optimal spanning tree as a
@@ -370,10 +369,11 @@ def _transport_simplex(
     The set-up takes the start's walk down from row node 0 (each other
     node's depth and the flow on the arc to its parent, which names the
     arc) and the potentials in one pass down its preorder. Pivots rewrite
-    the walk, so a start's is copied at the first pivot: a solve that
-    refuses or makes none copies nothing. A pivot climbs from both ends
-    of the entering cell to their lowest common ancestor, which gives
-    the cycle. The leaving arc cuts off the subtree below its child;
+    the walk, so the record's is copied at the first pivot, whichever
+    record it is: no solve writes to a record's walk, and a solve that
+    makes no pivot copies nothing. A pivot climbs from both ends of the
+    entering cell to their lowest common ancestor, which gives the
+    cycle. The leaving arc cuts off the subtree below its child;
     that subtree alone is re-hung from the entering arc, reversing the
     parent path between them, and walked for its new depths. The
     potentials of the side holding the entering column are shifted,
@@ -382,19 +382,21 @@ def _transport_simplex(
     stats are bit for bit those of the neighbour-set pivot loop kept as
     a reference in the tests.
 
-    With refuse_at given, the solve may return None instead, but only
-    once it has proved that the cost it would return is at least
-    refuse_at. At each pricing, the last one included, the row
-    potentials u are raised by the row minima of that pricing's reduced
-    costs, u'_i = u_i + min_j (c_ij - u_i - v_j), in exact arithmetic the
+    With refuse_at given, the solve may refuse instead, but only once it
+    has proved that the cost it would return is at least refuse_at; it
+    then returns (None, floor, stats), floor the certified lower bound it
+    compared with refuse_at and stats the pivots made so far. At each
+    pricing, the last one included, the row potentials u are raised by
+    the row minima of that pricing's reduced costs,
+    u'_i = u_i + min_j (c_ij - u_i - v_j), in exact arithmetic the
     c-transform of the column potentials v, which makes (u', v) dual
     feasible, so by weak duality a.u' + b.v bounds the optimal cost from
-    below. The solve stops when that bound, less the rounding margin of
-    _dual_margin (worked out only when the bound alone reaches
-    refuse_at), reaches refuse_at; a solve ending above refuse_at thus
-    also skips its final leaf elimination and certificate. A solve that
-    does not stop returns what it returns without refuse_at, bit for
-    bit.
+    below. That bound less the rounding margin of _dual_margin (worked
+    out only when the bound alone reaches refuse_at) is the floor, at
+    most the cost the full solve returns, and the solve refuses when the
+    floor reaches refuse_at; a solve ending above refuse_at thus also
+    skips its final leaf elimination and certificate. A solve that does
+    not refuse returns what it returns without refuse_at, bit for bit.
     """
     m, n = cost.shape
     cmax = float(np.abs(cost).max())
@@ -421,8 +423,9 @@ def _transport_simplex(
             bound = float(a @ u) + float(b @ pot[m:])
             # the margin's maxima are worked out only when they can matter
             if bound >= refuse_at:
-                if bound - _dual_margin(a, b, cmax, pot, u) >= refuse_at:
-                    return None
+                floor = bound - _dual_margin(a, b, cmax, pot, u)
+                if floor >= refuse_at:
+                    return None, floor, SolveStats(pivots, degenerate, bland)
         if stalled <= stall_limit:
             flat = int(reduced.argmin())
             if reduced.item(flat) >= -eps:
@@ -435,16 +438,15 @@ def _transport_simplex(
             bland += 1
         ei, ej = divmod(flat, n)
         delta = reduced.item(flat)
-        # pivots rewrite the tree: at the first, copy the parent list and a
-        # start's walk, which other solves may share; one made here is dropped
+        # pivots rewrite the tree: at the first, copy the parent list and
+        # the record's walk, which other solves may share
         if not pivots:
             parent = list(parent)
+            depth, flow, nbrs = depth[:], flow[:], [x[:] for x in nbrs]
             # a shift by delta lowers row potentials and raises column ones
             sign = np.ones(m + n)
             sign[m:] = -1.0
             side = np.empty(m + n, dtype=bool)
-            if tree is start:
-                depth, flow, nbrs = depth[:], flow[:], [x[:] for x in nbrs]
 
         # climb from both ends of the entering cell (ei, ej) to their
         # lowest common ancestor. The tree path from column node m + ej to

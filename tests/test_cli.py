@@ -253,7 +253,22 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     # never reaches a certificate
     r = run_cli("perturb", "axes_2d", "axes_2d", "--mode", "bound", "--tol", "nan")
     assert r.returncode == 2 and r.stdout == ""
-    assert r.stderr == "error: --tol must be a finite number, got nan\n"
+    assert r.stderr == "error: --tol must be a finite number >= 0, got nan\n"
+
+
+def test_a_negative_tol_is_bad_input():
+    # no deviation is at or below a negative tolerance, so an exact pair
+    # would certify "approximate"
+    for argv in (
+        ["canonical-dual", "axes_2d", "--tol", "-0.5"],
+        ["certify", "permuted_axes_coupling", "--tol", "-1"],
+        ["perturb", "axes_2d", "axes_2d", "--tol", "-1"],
+        ["neumann", "permuted_axes_coupling", "--tol", "-1"],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and r.stdout == "", argv
+        tol = float(argv[-1])
+        assert r.stderr == f"error: --tol must be a finite number >= 0, got {tol}\n"
 
 
 # a good run of each command for each input count its row takes, with its

@@ -60,6 +60,16 @@ def test_certify_classes():
     assert certify(load_coupling("permuted_axes_coupling")).classification == "none"
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
+def test_certify_refuses_a_tolerance_that_is_negative_or_not_finite(tol):
+    c = load_coupling("permuted_axes_coupling")
+    with pytest.raises(BadArgument, match="finite number >= 0"):
+        certify(c, tol=tol)
+    # zero is a tolerance: the canonical pair of axes_2d deviates by 0
+    cert = certify(canonical_dual(load_measure("axes_2d"))[1], tol=0.0)
+    assert (cert.deviation, cert.classification) == (0.0, "exact")
+
+
 def test_certificate_bounds_present_only_when_invertible():
     cert = certify(load_coupling("permuted_axes_coupling"))
     assert cert.dual_lower_bound is None

@@ -47,6 +47,16 @@ def test_eig_sym_rejects_asymmetric():
         eig_sym([[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_eig_sym_tolerance_is_relative_at_every_scale(scale):
+    # asymmetric by a tenth of the largest entry at any scale, and by a
+    # rounding's worth of it
+    with pytest.raises(NonSymmetric):
+        eig_sym(scale * np.array([[1.0, 0.1], [0.0, 1.0]]))
+    w = eig_sym(scale * np.array([[1.0, 1e-15], [0.0, 1.0]]))
+    np.testing.assert_allclose(w, [scale, scale], rtol=1e-12)
+
+
 def test_inverse_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -96,6 +106,10 @@ def test_malformed_matrices_are_bad_arguments():
             as_matrix(bad)
     with pytest.raises(BadArgument):
         as_square([[1.0, 2.0]])
+    # every matrix built from measures is at least 1 x 1
+    for square in (as_square, eig_sym, inverse):
+        with pytest.raises(BadArgument, match="nonempty square"):
+            square(np.zeros((0, 0)))
     # still a ValueError for callers that catch one
     assert issubclass(BadArgument, ValueError)
 

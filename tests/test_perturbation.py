@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from operator import le
 
 import numpy as np
 import pytest
@@ -362,7 +363,7 @@ def test_refused_swap_trials_cannot_be_accepted(monkeypatch):
 
     def solving(a, b, cost, start=None, refuse_at=None):
         result = solve(a, b, cost, start=start, refuse_at=refuse_at)
-        events.append((a, b, cost, refuse_at, result))
+        events.append((a, b, cost, start, refuse_at, result))
         return result
 
     monkeypatch.setattr(transport, "_transport_simplex", solving)
@@ -371,21 +372,28 @@ def test_refused_swap_trials_cannot_be_accepted(monkeypatch):
         events.clear()
         greedy_subsample(eta, n)
         # replay the search: the first solve is the incumbent's cold one
-        (_, _, cols, _, (tree, *_)), rest = events[0], events[1:]
+        (_, _, cols, _, _, (tree, *_)), rest = events[0], events[1:]
         best_cost = float((tree.plan * cols).sum())
-        for a, b, cols, refuse_at, result in rest:
+        for a, b, cols, start, refuse_at, result in rest:
             threshold = best_cost * (1.0 - 1e-12)
             assert refuse_at == threshold
-            if result is not None:
+            if result[0] is not None:
                 cost = float((result[0].plan * cols).sum())
                 if cost < threshold:
                     best_cost = cost
                 continue
             # refused mid-solve: a full solve must report a cost at or
-            # above the threshold
+            # above the threshold, and at or above the refusal's floor,
+            # which is at or above the threshold; the refusal made no
+            # more pivots of any kind than the full solve from its start
             refused += 1
             plan = solve(a, b, cols)[0].plan
             assert float((plan * cols).sum()) >= threshold
+            _, reported, full_stats = solve(a, b, cols, start=start)
+            _, floor, stats = result
+            assert threshold <= floor <= reported
+            counts = map(dataclasses.astuple, (stats, full_stats))
+            assert all(map(le, *counts))
     assert refused > 5000
 
 
@@ -410,7 +418,9 @@ def test_refusal_bound_is_tight_at_each_solves_optimum(monkeypatch):
     for a, b, cost, start, plan in solves:
         reported = float((plan * cost).sum())
         refuse_at = reported - 1e-6 * max(reported, float(cost.max()))
-        assert solve(a, b, cost, start=start, refuse_at=refuse_at) is None
+        tree, floor, _ = solve(a, b, cost, start=start, refuse_at=refuse_at)
+        assert tree is None
+        assert refuse_at <= floor <= reported
 
 
 def test_pipeline_on_cloud():

@@ -67,34 +67,81 @@ def test_compare_requires_the_same_subsample_and_solve_sequence(solve_replay, ca
     assert "subsample differs" in capsys.readouterr().out
 
 
-def test_replay_records_each_solve_and_restores_the_solver(solve_replay, monkeypatch):
-    # a search in the shape of the greedy one: a cold solve, then warm
-    # solves handed a threshold, one of which refuses its trial
+A, B = np.full(3, 1.0 / 3), np.full(2, 0.5)
+COSTS = [np.arange(6.0).reshape(3, 2) + k for k in range(3)]
+
+
+def replay_toy_search(solve_replay, monkeypatch):
+    """The one run replay records of a search in the shape of the greedy
+    one: a cold solve, then warm solves handed a threshold, one of which
+    refuses its trial."""
     from probframes import perturbation, transport
     from probframes.measures import uniform
 
-    a, b = np.full(3, 1.0 / 3), np.full(2, 0.5)
-    costs = [np.arange(6.0).reshape(3, 2) + k for k in range(3)]
-
     def search(eta, n):
-        tree = transport._transport_simplex(a, b, costs[0])[0]
+        tree = transport._transport_simplex(A, B, COSTS[0])[0]
         # no cost reaches an infinite threshold, and every one a negative one
-        for cols, refuse_at in zip(costs[1:], (np.inf, -np.inf)):
-            transport._transport_simplex(a, b, cols, start=tree, refuse_at=refuse_at)
+        for cols, refuse_at in zip(COSTS[1:], (np.inf, -np.inf)):
+            transport._transport_simplex(A, B, cols, start=tree, refuse_at=refuse_at)
         return eta
 
-    eta, solve = uniform(np.eye(2)), transport._transport_simplex
+    eta = uniform(np.eye(2))
     monkeypatch.setattr(solve_replay, "inputs", lambda: [("toy", eta, 2)])
     monkeypatch.setattr(perturbation, "greedy_subsample", search)
     monkeypatch.setattr(sys, "path", list(sys.path))
     (run,) = solve_replay.replay(solve_replay.REPO_SRC)
     kinds = [solve_replay._kind(s) for s in run["solves"]]
     assert kinds == ["reported", "reported", "refused_at"]
-    assert [s["cost"] for s in run["solves"]] == [solve_replay._sha(c) for c in costs]
-    # the reported cost is worked out from the recorded plan
-    tree = solve(a, b, costs[0])[0]
-    assert run["solves"][0]["plan"] == solve_replay._sha(tree.plan)
-    assert run["solves"][0]["reported"] == float((tree.plan * costs[0]).sum())
+    assert [s["cost"] for s in run["solves"]] == [solve_replay._sha(c) for c in COSTS]
     assert run["solves"][2]["refused_at"] == -np.inf
+    return run
+
+
+def test_replay_records_each_solve_and_restores_the_solver(solve_replay, monkeypatch):
+    from probframes import transport
+
+    solve = transport._transport_simplex
+    run = replay_toy_search(solve_replay, monkeypatch)
+    # the reported cost is worked out from the recorded plan
+    tree = solve(A, B, COSTS[0])[0]
+    assert run["solves"][0]["plan"] == solve_replay._sha(tree.plan)
+    assert run["solves"][0]["reported"] == float((tree.plan * COSTS[0]).sum())
+    # the refusal's floor and pivot count, which the summary adds up
+    _, floor, stats = solve(A, B, COSTS[2], start=tree, refuse_at=-np.inf)
+    refusal = run["solves"][2]
+    assert (refusal["floor"], refusal["pivots"]) == (floor, stats.pivots)
+    assert solve_replay._solve_counts([run]) == (
+        f"3 solves (1 refused, making {stats.pivots} pivots)"
+    )
     # the solver is restored
     assert transport._transport_simplex is solve
+
+
+def test_replay_reads_a_refusal_returned_as_none(solve_replay, monkeypatch):
+    # a src from before refusals returned their floor: None for a refusal
+    from probframes import transport
+
+    full = transport._transport_simplex
+
+    def solve(*args, **options):
+        result = full(*args, **options)
+        return None if result[0] is None else result
+
+    monkeypatch.setattr(transport, "_transport_simplex", solve)
+    run = replay_toy_search(solve_replay, monkeypatch)
+    assert set(run["solves"][2]) == {"cost", "refused_at"}
+    assert solve_replay._solve_counts([run]) == "3 solves (1 refused)"
+    assert transport._transport_simplex is solve
+
+
+def test_compare_sums_the_pivots_of_refused_solves(solve_replay, capsys):
+    new = run(ended(), {**refused(0.5), "floor": 0.75, "pivots": 4},
+              {**refused(0.5, cost="d"), "floor": 0.5, "pivots": 3})
+    old = run(ended(), refused(0.5), refused(0.5, cost="d"))
+    assert solve_replay.compare(old, new) == 0
+    assert "3 solves (2 refused, making 7 pivots), 0 runs differ" in (
+        capsys.readouterr().out
+    )
+    # a record from a src whose refusals return None counts no pivots
+    assert solve_replay.compare(new, old) == 0
+    assert "3 solves (2 refused), 0 runs differ" in capsys.readouterr().out

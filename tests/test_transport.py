@@ -6,6 +6,7 @@ from collections import Counter, namedtuple
 from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
+from operator import le
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from probframes import cli, transport
 from probframes.duals import certify
 from probframes.errors import (
+    DimMismatch,
     InternalInvariantError,
     MarginalMismatch,
     ProbFramesError,
@@ -107,6 +109,18 @@ def test_product_and_graph_couplings():
 A, B, C = [5.0, -1.0], [0.25, 2.0], [0.0, 0.0]
 SCATTERED_IMAGES = np.array([A, B, A, C, B])
 FIVE_WEIGHTS = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
+
+
+def test_images_that_are_not_an_atom_array_are_bad_input():
+    # a flat list is N points on the line, as for a measure's atoms; a
+    # deeper array is refused like one, for graphs and pushed targets
+    mu = uniform([[0.0], [1.0]])
+    assert graph_coupling(mu, [2.0, 3.0]).target.atoms.tolist() == [[2.0], [3.0]]
+    for images in (np.zeros((2, 2, 2)), [[np.nan], [1.0]]):
+        with pytest.raises(DimMismatch, match="atoms"):
+            graph_coupling(mu, images)
+        with pytest.raises(DimMismatch, match="atoms"):
+            push_target(product_coupling(mu, mu), images)
 
 
 def test_graph_coupling_merges_images():
@@ -636,7 +650,8 @@ def warm_problem(mu, nu):
 
 def certified(solve, *args, **options):
     """solve(*args, **options) with the potentials it handed to
-    transport._certify: (tree, cost, stats, u, v), or None if it refused."""
+    transport._certify: (tree, cost, stats, u, v), or the refusal
+    (None, floor, stats) it returned, which certifies nothing."""
     check, seen = transport._certify, []
 
     def capture(plan, u, v, cost):
@@ -648,7 +663,7 @@ def certified(solve, *args, **options):
         result = solve(*args, **options)
     finally:
         transport._certify = check
-    return None if result is None else (*result, *seen[-1])
+    return result if result[0] is None else (*result, *seen[-1])
 
 
 def result_bytes(result):
@@ -857,14 +872,16 @@ def refusal_problems():
 
 
 def test_a_refused_solve_would_have_reported_a_cost_at_or_above_the_threshold():
-    # None only when the cost the full solve returns reaches refuse_at,
+    # a refusal only when the cost the full solve returns reaches refuse_at,
     # and otherwise the full solve itself, potentials included, bit for bit;
-    # outcomes counted on finite thresholds, apart for shifted costs
+    # a refusal's floor lies between refuse_at and that cost, and it made
+    # no more pivots of any kind than the full solve; outcomes counted on
+    # finite thresholds, apart for shifted costs
     outcomes = Counter()
     solve = transport._transport_simplex
     for a, b, cost, start, shifted in refusal_problems():
         full = certified(solve, a, b, cost, start=start)
-        reported = full[1]
+        reported, full_stats = full[1], astuple(full[2])
         assert reports_its_plans_cost(full, cost)
         step = 1e-9 * max(abs(reported), float(np.abs(cost).max()))
         thresholds = (
@@ -874,9 +891,12 @@ def test_a_refused_solve_would_have_reported_a_cost_at_or_above_the_threshold():
         for refuse_at in thresholds:
             got = certified(solve, a, b, cost, start=start, refuse_at=refuse_at)
             if np.isfinite(refuse_at):
-                outcomes[shifted, got is None] += 1
-            if got is None:
+                outcomes[shifted, got[0] is None] += 1
+            if got[0] is None:
+                _, floor, stats = got
                 assert reported >= refuse_at
+                assert refuse_at <= floor <= reported
+                assert all(map(le, astuple(stats), full_stats))
             else:
                 assert result_bytes(got) == result_bytes(full)
                 assert got[0].parent == full[0].parent
@@ -900,7 +920,7 @@ def test_greedy_swap_solves_start_near_optimal(monkeypatch):
             result = solve(a, b, cost, start=start, refuse_at=refuse_at)
             if start is not None:
                 warm_pivots.append(solve(a, b, cost, start=start)[2].pivots)
-                ended += result is not None
+                ended += result[0] is not None
             return result
 
         monkeypatch.setattr(transport, "_transport_simplex", counting)

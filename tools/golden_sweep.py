@@ -407,6 +407,9 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["analyze", gen("tiny_4x2")],
         ["canonical-dual", gen("tiny_4x2")],
         ["bounds-ineq", gen("scaled_dual_4x2")],
+        # negative exactness tolerances are bad input
+        ["canonical-dual", "axes_2d", "--tol", "-0.5"],
+        ["certify", "permuted_axes_coupling", "--tol", "-1"],
         # the = form, since argparse takes a value led by "-" for an option
         ["uncertainty", gen("equality_dual"), f"--vector={_equality_case()[2]}"],
     ]
