@@ -31,10 +31,10 @@ from .errors import (
     SingularMixedOperator,
     SourceMismatch,
 )
-from .frames import analyze, frame_operator
+from .frames import _pushforward_images, analyze, frame_operator
 from .measures import DiscreteMeasure, same_measure
 from .numerics import inverse, spectral_norm
-from .transport import Coupling, graph_coupling, mixed_frame_operator, push_target
+from .transport import Coupling, mixed_frame_operator, push_target
 
 EXACT_TOL = 1e-9
 
@@ -120,8 +120,7 @@ def approx_dual_pushforward(
         raise DeviationTooLarge(
             f"||A - Id|| = {deviation:.6g} is not below 1"
         )
-    coupling = graph_coupling(mu, mu.atoms @ analyze(mu).inverse() @ a)
-    return coupling.target, coupling
+    return _pushforward_images(mu, a=a)
 
 
 def pushforward_dual(mu: DiscreteMeasure, h) -> tuple[DiscreteMeasure, Coupling]:
@@ -139,11 +138,7 @@ def pushforward_dual(mu: DiscreteMeasure, h) -> tuple[DiscreteMeasure, Coupling]
         raise MissingImage(
             f"need a {mu.size} x {mu.dim} array of h-values, got {hv.shape}"
         )
-    base = mu.atoms @ analyze(mu).inverse()
-    h_moment = mu.atoms.T @ (mu.weights[:, None] * hv)
-    images = base + hv - base @ h_moment
-    coupling = graph_coupling(mu, images)
-    return coupling.target, coupling
+    return _pushforward_images(mu, h=hv)
 
 
 def neumann_approx_dual(

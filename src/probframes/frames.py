@@ -4,7 +4,9 @@ The frame operator of a measure is its second-moment matrix; the
 measure is a frame exactly when that matrix is positive definite, and
 the optimal frame bounds are its extreme eigenvalues. The canonical
 dual is the pushforward under the inverse frame operator, carried here
-together with its graph coupling.
+together with its graph coupling, as the one point of a family: the
+duals of pushforward type, whose images are X S^{-1} A + H - X S^{-1}
+(X^T W H) for a mixed operator A and any offsets H.
 """
 
 from __future__ import annotations
@@ -75,6 +77,24 @@ def analyze(m: DiscreteMeasure, tol: float = FRAME_RTOL) -> FrameReport:
     )
 
 
+def _pushforward_images(
+    m: DiscreteMeasure, a=None, h=None
+) -> tuple[DiscreteMeasure, Coupling]:
+    """The pushforward-type dual of m with mixed operator A, offset by H.
+
+    Sends the atoms X to X S^{-1} A + H - X S^{-1} (X^T W H), whose mixed
+    frame operator X^T W T(X) is A for every H; A = I and H = 0 give the
+    canonical dual. A term left out (None) is not applied at all, since
+    x @ I and x + 0.0 would turn -0.0 into +0.0.
+    """
+    base = m.atoms @ analyze(m).inverse()
+    images = base if a is None else base @ a
+    if h is not None:
+        images = images + h - base @ (m.atoms.T @ (m.weights[:, None] * h))
+    coupling = graph_coupling(m, images)
+    return coupling.target, coupling
+
+
 def canonical_dual(m: DiscreteMeasure) -> tuple[DiscreteMeasure, Coupling]:
     """Canonical dual measure with its graph coupling.
 
@@ -82,31 +102,7 @@ def canonical_dual(m: DiscreteMeasure) -> tuple[DiscreteMeasure, Coupling]:
     frame operator is the inverse of the original one, so its bounds are
     the reciprocals of the original bounds in swapped order.
     """
-    s_inv = analyze(m).inverse()
-    coupling = graph_coupling(m, m.atoms @ s_inv)
-    return coupling.target, coupling
-
-
-def rkhs_kernel(m: DiscreteMeasure, x, y) -> float:
-    """Reproducing kernel x^T S^{-1} y of the analysis-operator range."""
-    s_inv = analyze(m).inverse()
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    return float(xv @ s_inv @ yv)
-
-
-def reproducing_check(m: DiscreteMeasure, u, z) -> float:
-    """Residual of the reproducing identity for the functional <u, .>.
-
-    Evaluates |sum_i w_i <u, x_i> K(z, x_i) - <u, z>|, which vanishes
-    because sum_i w_i x_i x_i^T S^{-1} is the identity.
-    """
-    s_inv = analyze(m).inverse()
-    uv = np.asarray(u, dtype=float).reshape(-1)
-    zv = np.asarray(z, dtype=float).reshape(-1)
-    kernel_at_atoms = m.atoms @ (s_inv @ zv)
-    reproduced = float((m.weights * (m.atoms @ uv)) @ kernel_at_atoms)
-    return abs(reproduced - float(uv @ zv))
+    return _pushforward_images(m)
 
 
 def frame_report_to_dict(r: FrameReport) -> dict:

@@ -104,7 +104,7 @@ class DiscreteMeasure:
             raise DimMismatch(
                 f"map expects dimension {mat.shape[1]}, measure has {self.dim}"
             )
-        return DiscreteMeasure(self.atoms @ mat.T, self.weights).coalesce()
+        return _merged_images(self.atoms @ mat.T, self.weights)[0]
 
     def pushforward_map(self, images) -> "DiscreteMeasure":
         """Image measure under an extensionally given map.
@@ -112,12 +112,7 @@ class DiscreteMeasure:
         images supplies T(x_i) for each atom in order; anything else is
         a MissingImage error. Colliding images are merged.
         """
-        imgs = _as_atoms(images)
-        if imgs.shape[0] != self.size:
-            raise MissingImage(
-                f"need {self.size} images, got {imgs.shape[0]}"
-            )
-        return DiscreteMeasure(imgs, self.weights).coalesce()
+        return _merged_images(images, self.weights)[0]
 
     def is_close(self, other: "DiscreteMeasure", tol: float = 1e-9) -> bool:
         """Equality as measures: same atoms (within tol) with same mass.
@@ -167,6 +162,19 @@ def merge_atoms(
     merged = np.zeros(len(reps))
     np.add.at(merged, assign, weights)
     return DiscreteMeasure(atoms[reps], merged)
+
+
+def _merged_images(images, weights) -> tuple[DiscreteMeasure, np.ndarray]:
+    """The measure of weighted images, colliding ones merged into one atom.
+
+    Returns that measure and, for each image, the index of its atom;
+    MissingImage unless there is one image per weight.
+    """
+    imgs = _as_atoms(images)
+    if imgs.shape[0] != weights.shape[0]:
+        raise MissingImage(f"need {weights.shape[0]} images, got {imgs.shape[0]}")
+    reps, assign = group_atoms(imgs, COALESCE_TOL)
+    return merge_atoms(imgs, weights, reps, assign), assign
 
 
 def same_measure(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:

@@ -34,14 +34,11 @@ from .errors import (
     Unsupported,
 )
 from .measures import (
-    COALESCE_TOL,
     DiscreteMeasure,
-    _as_atoms,
     _as_floats,
-    group_atoms,
+    _merged_images,
     measure_from_dict,
     measure_to_dict,
-    merge_atoms,
     same_measure,
 )
 from .numerics import as_matrix, sq_dists
@@ -105,18 +102,6 @@ class TransportResult:
 def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """Independent coupling mu x nu."""
     return Coupling(mu, nu, np.outer(mu.weights, nu.weights))
-
-
-def _merged_images(images, weights) -> tuple[DiscreteMeasure, np.ndarray]:
-    """The measure of weighted images, colliding ones merged into one atom.
-
-    Returns that measure and, for each image, the index of its atom.
-    """
-    imgs = _as_atoms(images)
-    if imgs.shape[0] != weights.shape[0]:
-        raise DimMismatch(f"need {weights.shape[0]} images, got {imgs.shape[0]}")
-    reps, assign = group_atoms(imgs, COALESCE_TOL)
-    return merge_atoms(imgs, weights, reps, assign), assign
 
 
 def graph_coupling(mu: DiscreteMeasure, images) -> Coupling:

@@ -21,9 +21,9 @@ from probframes.errors import (
     SourceMismatch,
 )
 from probframes.fixtures import load_coupling, load_measure
-from probframes.frames import analyze, canonical_dual
+from probframes.frames import _pushforward_images, analyze, canonical_dual
 from probframes.measures import DiscreteMeasure
-from probframes.transport import product_coupling
+from probframes.transport import mixed_frame_operator, product_coupling
 
 
 def random_frame(rng, dim, size):
@@ -114,6 +114,84 @@ def test_pushforward_dual_zero_h_is_canonical():
     dual, _ = pushforward_dual(mu, np.zeros((2, 2)))
     canonical, _ = canonical_dual(mu)
     assert dual.is_close(canonical)
+
+
+def pushforward_family_cases(seed, redundancies=range(4), count=40):
+    """(measure, redundancy, scale) for seeded measures without duplicate
+    atoms: dimension 1-3, redundancy R in redundancies, and coordinates
+    at a scale from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim, r = int(rng.integers(1, 4)), int(rng.choice(redundancies))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        mu = random_frame(rng, dim, dim + r)
+        yield DiscreteMeasure(scale * mu.atoms, mu.weights), r, scale
+
+
+def images_of(coupling):
+    """T(x_i) for each source atom of a graph coupling, in atom order."""
+    return coupling.target.atoms[coupling.plan.argmax(axis=1)]
+
+
+def relative_error(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def test_canonical_dual_is_the_only_pushforward_dual_without_redundancy():
+    """With R = 0 the exact duals of pushforward type are one point: every
+    offset h gives the canonical dual's images."""
+    rng = np.random.default_rng(26)
+    for mu, _, scale in pushforward_family_cases(260, redundancies=[0]):
+        canonical = images_of(canonical_dual(mu)[1])
+        for _ in range(5):
+            # offsets as large as the dual atoms, which scale as 1/scale
+            h = rng.standard_normal(mu.atoms.shape) / scale
+            got = images_of(pushforward_dual(mu, h)[1])
+            assert relative_error(got, canonical) < 1e-10
+
+
+def test_pushforward_duals_form_an_affine_space_of_dimension_dim_times_redundancy():
+    """h -> images is affine, and its linear part, the projection
+    h -> h - X S^{-1} (X^T W h), has rank dim * R. Measured on unit
+    offsets its nonzero singular values are at least 1 and the others
+    rounding noise, so the rank counts singular values above 1/2: a
+    rank relative to the largest singular value would count the noise
+    of the zero map at R = 0."""
+    rng = np.random.default_rng(27)
+    for mu, r, scale in pushforward_family_cases(270):
+        def images(h):
+            return images_of(pushforward_dual(mu, h)[1])
+
+        unit = 1.0 / scale
+        origin = images(np.zeros(mu.atoms.shape))
+        basis = np.eye(mu.atoms.size).reshape(-1, *mu.atoms.shape)
+        linear = np.column_stack(
+            [((images(unit * e) - origin) / unit).ravel() for e in basis]
+        )
+        singular = np.linalg.svd(linear, compute_uv=False)
+        assert np.count_nonzero(singular > 0.5) == mu.dim * r
+        h1, h2 = (unit * rng.standard_normal(mu.atoms.shape) for _ in range(2))
+        mixed = images(0.25 * h1 + 0.75 * h2)
+        assert relative_error(mixed, 0.25 * images(h1) + 0.75 * images(h2)) < 1e-10
+
+
+def test_every_pushforward_type_dual_has_its_prescribed_mixed_operator():
+    """X S^{-1} A + H - X S^{-1} (X^T W H) has mixed operator A for any
+    offsets H and any A with ||A - I|| < 1, and so do the public members
+    of the family: the canonical dual (A = I, H = 0), the approximate
+    dual (H = 0) and the pushforward dual (A = I)."""
+    rng = np.random.default_rng(28)
+    for mu, _, scale in pushforward_family_cases(280):
+        eye = np.eye(mu.dim)
+        a = random_contraction(rng, mu.dim, rng.uniform(0.05, 0.95))
+        h = rng.standard_normal(mu.atoms.shape) / scale
+        for coupling, want in (
+            (_pushforward_images(mu, a, h)[1], a),
+            (canonical_dual(mu)[1], eye),
+            (approx_dual_pushforward(mu, a)[1], a),
+            (pushforward_dual(mu, h)[1], eye),
+        ):
+            assert relative_error(mixed_frame_operator(coupling), want) < 1e-10
 
 
 def test_neumann_scalar_fixture():

@@ -8,8 +8,6 @@ from probframes.frames import (
     canonical_dual,
     frame_operator,
     frame_report_to_dict,
-    reproducing_check,
-    rkhs_kernel,
 )
 from probframes.measures import DiscreteMeasure, dirac, uniform
 from probframes.transport import mixed_frame_operator
@@ -82,22 +80,6 @@ def test_canonical_dual_operator_and_bounds():
         # bounds swap and invert
         assert abs(dual_report.lower_bound - 1.0 / report.upper_bound) < 1e-8
         assert abs(dual_report.upper_bound - 1.0 / report.lower_bound) < 1e-8
-
-
-def test_rkhs_kernel_value():
-    m = load_measure("axes_2d")
-    # S = Id/2 so the kernel doubles the inner product
-    assert abs(rkhs_kernel(m, [1.0, 0.0], [1.0, 1.0]) - 2.0) < 1e-12
-
-
-def test_reproducing_identity():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        dim = int(rng.integers(1, 5))
-        m = random_frame(rng, dim, dim + int(rng.integers(0, 6)))
-        u = rng.standard_normal(dim)
-        z = rng.standard_normal(dim)
-        assert reproducing_check(m, u, z) < 1e-9
 
 
 def test_report_dict_keys():
