@@ -4,7 +4,8 @@ A measure is a weighted atom list: atoms stacked as rows of an (N, n)
 array, strictly positive weights summing to one. Construction validates
 and rejects bad input; nothing is silently repaired. Coalescing of
 near-duplicate atoms is explicit and used by the pushforward operations
-so duplicate atoms cannot accumulate downstream.
+so duplicate atoms cannot accumulate downstream; their one image merge
+groups atoms within a radius relative to the atoms' scale.
 """
 
 from __future__ import annotations
@@ -85,14 +86,17 @@ class DiscreteMeasure:
         """Integral of |x|^2, the Bessel constant of the measure."""
         return float(self.weights @ np.einsum("ij,ij->i", self.atoms, self.atoms))
 
-    def coalesce(self, tol: float = COALESCE_TOL) -> "DiscreteMeasure":
+    def coalesce(self, tol: float | None = None) -> "DiscreteMeasure":
         """Merge atoms within Euclidean distance tol, summing weights.
 
         The first occurrence of each atom group is kept as the
         representative, so the result is deterministic. tol=0 merges
-        exact duplicates only.
+        exact duplicates only; by default atoms merge within
+        _merge_radius, which scales with them.
         """
-        reps, assign = group_atoms(self.atoms, tol)
+        reps, assign = group_atoms(
+            self.atoms, _merge_radius(self.atoms) if tol is None else tol
+        )
         if len(reps) == self.size:
             return self
         return merge_atoms(self.atoms, self.weights, reps, assign)
@@ -151,6 +155,13 @@ def group_atoms(atoms: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
     return reps, assign
 
 
+def _merge_radius(atoms: np.ndarray) -> float:
+    """COALESCE_TOL times the largest absolute coordinate of the atoms:
+    the radius within which the package's own merges group atoms, so
+    that scaling the atoms by 2^k merges the same ones."""
+    return COALESCE_TOL * float(np.abs(atoms).max())
+
+
 def merge_atoms(
     atoms: np.ndarray, weights, reps: list[int], assign: np.ndarray
 ) -> DiscreteMeasure:
@@ -173,18 +184,20 @@ def _merged_images(images, weights) -> tuple[DiscreteMeasure, np.ndarray]:
     imgs = _as_atoms(images)
     if imgs.shape[0] != weights.shape[0]:
         raise MissingImage(f"need {weights.shape[0]} images, got {imgs.shape[0]}")
-    reps, assign = group_atoms(imgs, COALESCE_TOL)
+    reps, assign = group_atoms(imgs, _merge_radius(imgs))
     return merge_atoms(imgs, weights, reps, assign), assign
 
 
 def same_measure(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
     """Atom-by-atom equality: same size and dimension, each atom within
-    Euclidean distance SAME_TOL of its partner, each weight within
+    Euclidean distance SAME_TOL times the larger of the two measures'
+    largest absolute coordinates of its partner, each weight within
     SAME_TOL."""
+    if a.size != b.size or a.dim != b.dim:
+        return False
+    scale = max(float(np.abs(a.atoms).max()), float(np.abs(b.atoms).max()))
     return (
-        a.size == b.size
-        and a.dim == b.dim
-        and float(np.linalg.norm(a.atoms - b.atoms, axis=1).max()) <= SAME_TOL
+        float(np.linalg.norm(a.atoms - b.atoms, axis=1).max()) <= SAME_TOL * scale
         and float(np.abs(a.weights - b.weights).max()) <= SAME_TOL
     )
 
@@ -202,11 +215,11 @@ def uniform(atoms) -> DiscreteMeasure:
 
 
 def validate(
-    m: DiscreteMeasure, merge_duplicates: bool = False, tol: float = COALESCE_TOL
+    m: DiscreteMeasure, merge_duplicates: bool = False, tol: float | None = None
 ) -> DiscreteMeasure:
-    """m itself, or m with duplicates coalesced at tol when merge_duplicates
-    is set. Construction has already checked it, and the record holds
-    read-only copies, so there is nothing to check again."""
+    """m itself, or m.coalesce(tol) when merge_duplicates is set.
+    Construction has already checked it, and the record holds read-only
+    copies, so there is nothing to check again."""
     return m.coalesce(tol) if merge_duplicates else m
 
 

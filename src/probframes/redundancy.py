@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Singular
 from .frames import analyze
-from .measures import DiscreteMeasure, COALESCE_TOL
+from .measures import DiscreteMeasure
 from .numerics import inverse, numeric_rank
 
 
@@ -37,7 +37,7 @@ def redundancy_rank(m: DiscreteMeasure, tol: float | None = None) -> int:
     Duplicate atoms are merged first so the count reflects the support,
     not the listing.
     """
-    merged = m.coalesce(COALESCE_TOL)
+    merged = m.coalesce()
     return merged.size - numeric_rank(synthesis_matrix(merged).matrix, tol)
 
 
@@ -48,7 +48,7 @@ def redundancy_trace(m: DiscreteMeasure) -> float:
     corresponding basis functional under the reproducing kernel. Needs
     an invertible frame operator.
     """
-    merged = m.coalesce(COALESCE_TOL)
+    merged = m.coalesce()
     s_inv = analyze(merged).inverse()
     diag = np.einsum("ij,jk,ik->i", merged.atoms, s_inv, merged.atoms)
     return float(np.sum(1.0 - merged.weights * diag))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from probframes.errors import (
     SourceMismatch,
 )
 from probframes.frames import canonical_dual
+from probframes.jsonio import dumps
 from probframes.measures import (
     DiscreteMeasure,
     dirac,
@@ -240,3 +243,22 @@ def test_same_measure_boundary_in_2d():
                     call()
     heavier = DiscreteMeasure(mu.atoms, [0.2 + 2e-10, 0.3 - 2e-10, 0.5])
     assert not same_measure(mu, heavier)
+
+
+def test_same_measure_is_relative_to_the_atoms_scale():
+    """Atoms match within SAME_TOL times the measures' largest absolute
+    coordinate, so at scale 2^-40 two independent measures with equal
+    weights differ, and at 2^-40 and 2^40 a measure matches its own
+    17-digit JSON round trip."""
+    rng = np.random.default_rng(12)
+    w = np.full(4, 0.25)
+    x, y, z = (
+        DiscreteMeasure(2.0**-40 * rng.standard_normal((4, 2)), w) for _ in range(3)
+    )
+    assert not same_measure(y, z)
+    with pytest.raises(MarginalMismatch):
+        glue(product_coupling(x, y), product_coupling(z, x))
+    for k in (-40, 40):
+        m = DiscreteMeasure(2.0**k * rng.standard_normal((4, 2)), w)
+        back = measure_from_dict(json.loads(dumps(measure_to_dict(m))))
+        assert same_measure(m, back)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from probframes.duals import certify
 from probframes.errors import NotAFrame, Singular
 from probframes.fixtures import load_measure, near_dirac_family
+from probframes.frames import canonical_dual
 from probframes.measures import DiscreteMeasure, dirac, uniform
 from probframes.redundancy import (
     equivalence_redundancy_check,
@@ -78,3 +80,25 @@ def test_equivalence_check_rejects_singular_map():
     m = uniform([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(Singular):
         equivalence_redundancy_check(m, [[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_duplicate_merging_does_not_depend_on_the_scale():
+    """A seeded 2-D frame of four atoms plus a copy of one, scaled by 2^k.
+
+    A power-of-two scale is exact in floats, and the merges group atoms
+    within a radius that scales with them, so the copy merges and the
+    distinct atoms stay apart at every k: the redundancy, the canonical
+    dual's atom count and its certificate do not move.
+    """
+    rng = np.random.default_rng(4)
+    atoms = rng.standard_normal((4, 2))
+    atoms = np.vstack([atoms, atoms[1]])
+    w = rng.uniform(0.2, 1.0, 5)
+    w /= w.sum()
+    for k in range(-45, 46):
+        m = DiscreteMeasure(2.0**k * atoms, w)
+        assert redundancy_rank(m) == 2
+        assert abs(redundancy_trace(m) - 2.0) < 2e-9
+        dual, coupling = canonical_dual(m)
+        assert dual.size == 4
+        assert certify(coupling).classification == "exact"

@@ -24,8 +24,9 @@ def ended(cost="c", plan="p", stats=(3, 1, 0), reported=1.0):
     return {"cost": cost, "plan": plan, "stats": list(stats), "reported": reported}
 
 
-def refused(threshold, cost="c"):
-    return {"cost": cost, "refused_at": threshold}
+def refused(threshold, cost="c", floor=None, pivots=2):
+    floor = threshold if floor is None else floor
+    return {"cost": cost, "refused_at": threshold, "floor": floor, "pivots": pivots}
 
 
 @pytest.mark.parametrize(
@@ -117,31 +118,11 @@ def test_replay_records_each_solve_and_restores_the_solver(solve_replay, monkeyp
     assert transport._transport_simplex is solve
 
 
-def test_replay_reads_a_refusal_returned_as_none(solve_replay, monkeypatch):
-    # a src from before refusals returned their floor: None for a refusal
-    from probframes import transport
-
-    full = transport._transport_simplex
-
-    def solve(*args, **options):
-        result = full(*args, **options)
-        return None if result[0] is None else result
-
-    monkeypatch.setattr(transport, "_transport_simplex", solve)
-    run = replay_toy_search(solve_replay, monkeypatch)
-    assert set(run["solves"][2]) == {"cost", "refused_at"}
-    assert solve_replay._solve_counts([run]) == "3 solves (1 refused)"
-    assert transport._transport_simplex is solve
-
-
 def test_compare_sums_the_pivots_of_refused_solves(solve_replay, capsys):
-    new = run(ended(), {**refused(0.5), "floor": 0.75, "pivots": 4},
-              {**refused(0.5, cost="d"), "floor": 0.5, "pivots": 3})
+    new = run(ended(), refused(0.5, floor=0.75, pivots=4),
+              refused(0.5, cost="d", pivots=3))
     old = run(ended(), refused(0.5), refused(0.5, cost="d"))
     assert solve_replay.compare(old, new) == 0
     assert "3 solves (2 refused, making 7 pivots), 0 runs differ" in (
         capsys.readouterr().out
     )
-    # a record from a src whose refusals return None counts no pivots
-    assert solve_replay.compare(new, old) == 0
-    assert "3 solves (2 refused), 0 runs differ" in capsys.readouterr().out

@@ -163,8 +163,9 @@ def test_push_target_merges_columns():
 @st.composite
 def colliding_images(draw):
     """A measure with weights down to 1e-9 and images of its atoms drawn
-    from a few points: exact duplicates, copies moved by less than
-    COALESCE_TOL, coordinate scales from 1e-4 to 1e4."""
+    from a few points: exact duplicates, copies moved by less than the
+    merge radius (COALESCE_TOL times the largest absolute coordinate),
+    coordinate scales from 1e-4 to 1e4."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size, dim = draw(st.integers(1, 12)), draw(st.integers(1, 3))
     scale = 10.0 ** draw(st.integers(-4, 4))
@@ -173,7 +174,8 @@ def colliding_images(draw):
     points = scale * rng.standard_normal((draw(st.integers(1, size)), dim))
     images = points[rng.integers(0, len(points), size)]
     nudge = rng.standard_normal((size, dim))
-    nudge *= 0.5 * COALESCE_TOL / np.linalg.norm(nudge, axis=1, keepdims=True)
+    radius = COALESCE_TOL * np.abs(images).max()
+    nudge *= 0.5 * radius / np.linalg.norm(nudge, axis=1, keepdims=True)
     images = images + nudge * (rng.random((size, 1)) < 0.5)
     if dim == 1 and draw(st.booleans()):
         images = images.reshape(-1).tolist()  # a flat list of 1-D points

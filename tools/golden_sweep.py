@@ -220,6 +220,18 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     put("rounding", "tiny_4x2", _measure_doc(1e-6 * x, w))
     put("rounding", "scaled_dual_4x2",
         _graph_doc(1e4 * x, w, _dual_images(1e4 * x, w)))
+    # one seeded 4-atom 2-D frame at the exact scales 2^-40 and 2^40, and a
+    # redundant 6-atom 2-D measure at 2^-20 with offsets at its dual atoms'
+    # scale 2^20 (own generator): what merges and what matches must not
+    # depend on the scale
+    pow2_rng = np.random.default_rng(40)
+    x, w = pow2_rng.standard_normal((4, 2)), _weights(pow2_rng, 4)
+    for name, k in (("pow2_m40_4x2", -40), ("pow2_p40_4x2", 40)):
+        put("rounding", name, _measure_doc(2.0**k * x, w))
+    x, w = pow2_rng.standard_normal((6, 2)), _weights(pow2_rng, 6)
+    put("rounding", "pow2_m20_6x2", _measure_doc(2.0**-20 * x, w))
+    put("matrix", "offsets_pow2_m20_6x2",
+        {"entries": (2.0**20 * pow2_rng.standard_normal((6, 2))).tolist()})
 
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
@@ -407,6 +419,11 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["analyze", gen("tiny_4x2")],
         ["canonical-dual", gen("tiny_4x2")],
         ["bounds-ineq", gen("scaled_dual_4x2")],
+        ["analyze", gen("pow2_m40_4x2")],
+        ["canonical-dual", gen("pow2_m40_4x2")],
+        ["analyze", gen("pow2_p40_4x2")],
+        ["canonical-dual", gen("pow2_p40_4x2")],
+        ["pushforward", gen("pow2_m20_6x2"), "--offsets", gen("offsets_pow2_m20_6x2")],
         # negative exactness tolerances are bad input
         ["canonical-dual", "axes_2d", "--tol", "-0.5"],
         ["certify", "permuted_axes_coupling", "--tol", "-1"],

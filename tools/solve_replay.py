@@ -11,11 +11,9 @@ solve the search makes, the SHA-256 of its cost matrix and either
   (``SolveStats``) and the cost it reports, ``fl(sum(plan * cost))``,
   worked out here from the plan; or
 - of a solve that refuses its trial (its dual bound, less a rounding
-  margin, reached the ``refuse_at`` threshold it was handed), that
-  threshold and, where the ``src`` returns them, the certified floor
-  the refusal compared with it and the pivots it made. A refusal
-  returns ``(None, floor, stats)``; a ``src`` older than that shape
-  returns ``None`` and records the threshold alone.
+  margin, reached the ``refuse_at`` threshold it was handed), which
+  returns ``(None, floor, stats)``: that threshold, the certified floor
+  the refusal compared with it and the pivots it made.
 
     python tools/solve_replay.py record OUT.json [--src DIR]
     python tools/solve_replay.py compare OUT.json [--src DIR]
@@ -32,8 +30,8 @@ anyway. ``compare`` prints every run that does not agree and exits 1
 if there is one; it also counts the solves that ended on one side and
 were refused on the other, which a stronger or weaker refusal bound
 changes even when every run agrees, and the pivots that refused solves
-made, when the compared ``src`` records them. Float bits may differ
-between BLAS builds, so compare only records made on one machine.
+made. Float bits may differ between BLAS builds, so compare only
+records made on one machine.
 """
 
 from __future__ import annotations
@@ -93,11 +91,9 @@ def replay(src: Path) -> list[dict]:
     def recording(a, b, cost, **options):
         sha = _sha(cost)
         result = solve(a, b, cost, **options)
-        if result is None or result[0] is None:
-            entry = {"cost": sha, "refused_at": options["refuse_at"]}
-            if result is not None:
-                entry["floor"], entry["pivots"] = result[1], result[2].pivots
-            solves.append(entry)
+        if result[0] is None:
+            solves.append({"cost": sha, "refused_at": options["refuse_at"],
+                           "floor": result[1], "pivots": result[2].pivots})
             return result
         plan, stats = result[0].plan, result[2]
         solves.append({
@@ -134,11 +130,8 @@ def _kind(entry: dict) -> str:
 def _solve_counts(runs: list[dict]) -> str:
     solves = [s for r in runs for s in r["solves"]]
     refused = [s for s in solves if _kind(s) == "refused_at"]
-    counts = f"{len(solves)} solves ({len(refused)} refused"
-    # a record made at a src whose refusals return None holds no pivots
-    if all("pivots" in s for s in refused):
-        counts += f", making {sum(s['pivots'] for s in refused)} pivots"
-    return counts + ")"
+    pivots = sum(s["pivots"] for s in refused)
+    return f"{len(solves)} solves ({len(refused)} refused, making {pivots} pivots)"
 
 
 def _disagreement(p: dict, q: dict) -> str | None:
