@@ -190,9 +190,9 @@ def _merged_images(images, weights) -> tuple[DiscreteMeasure, np.ndarray]:
 
 def same_measure(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
     """Atom-by-atom equality: same size and dimension, each atom within
-    Euclidean distance SAME_TOL times the larger of the two measures'
-    largest absolute coordinates of its partner, each weight within
-    SAME_TOL."""
+    Euclidean distance SAME_TOL * scale of its partner, scale the larger
+    of the two measures' largest absolute coordinates, and each weight
+    within SAME_TOL."""
     if a.size != b.size or a.dim != b.dim:
         return False
     scale = max(float(np.abs(a.atoms).max()), float(np.abs(b.atoms).max()))

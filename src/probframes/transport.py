@@ -37,6 +37,7 @@ from .measures import (
     DiscreteMeasure,
     _as_floats,
     _merged_images,
+    group_atoms,  # noqa: F401 - re-exported, perfbench's tracer test reads it here
     measure_from_dict,
     measure_to_dict,
     same_measure,
