@@ -118,13 +118,18 @@ class DiscreteMeasure:
         """
         return _merged_images(images, self.weights)[0]
 
-    def is_close(self, other: "DiscreteMeasure", tol: float = 1e-9) -> bool:
-        """Equality as measures: same atoms (within tol) with same mass.
+    def is_close(self, other: "DiscreteMeasure", tol: float | None = None) -> bool:
+        """Equality as measures: same atoms (within a radius) with same mass.
 
-        Atom order is irrelevant; both sides are coalesced at tol first.
+        Atom order is irrelevant; both sides are coalesced within the
+        radius first. By default the radius is 1e-9 times the larger of
+        the two measures' largest absolute coordinates, the rule of
+        same_measure, and weights match within 1e-9; an explicit tol is
+        an absolute radius, and weights then match within max(tol, 1e-12).
         """
-        a = self.coalesce(tol)
-        b = other.coalesce(tol)
+        scale = max(float(np.abs(m.atoms).max()) for m in (self, other))
+        radius, wtol = (1e-9 * scale, 1e-9) if tol is None else (tol, max(tol, 1e-12))
+        a, b = self.coalesce(radius), other.coalesce(radius)
         if a.dim != b.dim or a.size != b.size:
             return False
         used = np.zeros(b.size, dtype=bool)
@@ -132,7 +137,7 @@ class DiscreteMeasure:
             d = np.linalg.norm(b.atoms - a.atoms[i], axis=1)
             d[used] = np.inf
             j = int(np.argmin(d))
-            if d[j] > tol or abs(a.weights[i] - b.weights[j]) > max(tol, 1e-12):
+            if d[j] > radius or abs(a.weights[i] - b.weights[j]) > wtol:
                 return False
             used[j] = True
         return True

@@ -7,14 +7,14 @@ row node 0 and kept between solves, pricing by most-negative reduced
 cost with Bland's rule as the anti-cycling fallback, each pivot's cycle
 found by climbing to the lowest common ancestor, only the subtree the
 leaving arc cuts off re-hung, dual potentials shifted on the side of the
-cut that holds the entering column, and a complementary-slackness
-certificate at termination. A caller that only needs to know whether
-the optimal cost falls below a threshold can hand it over: the solve
-then stops with a refusal once a weak-duality lower bound, less a
-derived rounding margin, proves that it does not. The same solver
-doubles as the linear-minimization oracle of Wolfe's minimum-norm-point
-search for the coupling whose mixed frame operator is nearest a
-prescribed one.
+cut that holds the entering column, and at termination a certificate:
+the cost is within the pricing threshold of a weak-duality lower bound,
+less a derived rounding margin. A caller that only needs to know
+whether the optimal cost falls below a threshold can hand it over: the
+solve then stops with a refusal once that bound proves that it does
+not. The same solver doubles as the linear-minimization oracle of
+Wolfe's minimum-norm-point search for the coupling whose mixed frame
+operator is nearest a prescribed one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .measures import (
 from .numerics import as_matrix, sq_dists
 
 MARGINAL_TOL = 1e-10
-CERTIFICATE_TOL = 1e-9
 SEARCH_ITERS = 10000
 SEARCH_TOL = 1e-8
 
@@ -290,20 +289,27 @@ class SolveStats:
     bland_pivots: int
 
 
-def _dual_margin(a: np.ndarray, b: np.ndarray, cmax: float, pot, u) -> float:
-    """Rounding margin of the weak-duality bound a.u + b.v on a solve's cost,
-    the one bound on which _transport_simplex refuses a trial.
+def _dual_bound(a, b, cmax: float, pot, reduced, at=-math.inf) -> tuple[float, float]:
+    """The weak-duality bound of one pricing and its rounding margin: the
+    one bound on which _transport_simplex refuses a trial and certifies
+    the plan it returns.
 
     cmax is max|c_ij|, pot the tree's potentials, the rows' pot_i and
-    then the columns' v_j, and u the row potentials raised by the row
-    minima of the pricing's reduced costs as floats compute them,
-    u_i = pot_i + min_j fl(fl(c_ij - pot_i) - v_j), so that (u, v) is
-    dual feasible up to that rounding. Then fl(a @ u) + fl(b @ v), less
-    this margin, is at most the cost a solve returns, fl(sum(plan * cost))
-    for the plan leaf elimination writes from a and b on its spanning
-    tree, whichever tree that is.
+    then the columns' v_j, and reduced the pricing's reduced costs
+    fl(fl(c_ij - pot_i) - v_j). The row potentials are raised by the row
+    minima, u_i = pot_i + min_j reduced_ij, in exact arithmetic the
+    c-transform of v, so that (u, v) is dual feasible up to rounding
+    whatever v is. Returns (bound, margin): bound = fl(a @ u) + fl(b @ v),
+    which less margin, the floor, is at most fl(sum(plan * cost)) for the
+    plan leaf elimination writes from a and b on any spanning tree. When
+    the bound alone is below at, so is the floor, and the margin, whose
+    maxima are worked out only when they can matter, is given as 0.0.
     """
     m, n = a.size, b.size
+    u = pot[:m] + reduced.min(axis=1)
+    bound = float(a @ u) + float(b @ pot[m:])
+    if bound < at:
+        return bound, 0.0
     # With eps = 2**-53, s = max|C| + max|pot_rows| + max|u| + max|v|,
     # d = |sum a - sum b|, M = max(1, sum a, sum b) and r, q the row and
     # column sums of the solve's plan P >= 0, whose mass is M up to rounding:
@@ -321,13 +327,14 @@ def _dual_margin(a: np.ndarray, b: np.ndarray, cmax: float, pot, u) -> float:
     #   shifts r.u + q.v by at most s.
     # - fl(a @ u) + fl(b @ v) is within (m + n + 1) eps s M of a.u + b.v.
     # - fl(sum(P * C)) is within (mn + 1) eps max|C| M of sum P C, and the
-    #   caller's subtraction of the margin rounds once.
+    #   caller's subtraction, of the margin from the bound or of the bound
+    #   from the cost, rounds once.
     # The sum, at most (12 (m + n)^2 + mn + m + n + 7) eps s M + d s, is
     # below (16 (m + n)^2 eps M + d) s, as mn + m + n + 7 <= 4 (m + n)^2.
     scale = cmax + sum(float(np.abs(x).max()) for x in (pot[:m], u, pot[m:]))
     sa, sb = float(a.sum()), float(b.sum())
     mass = max(1.0, sa, sb)
-    return (16 * (m + n) ** 2 * 2.0**-53 * mass + abs(sa - sb)) * scale
+    return bound, (16 * (m + n) ** 2 * 2.0**-53 * mass + abs(sa - sb)) * scale
 
 
 def _transport_simplex(
@@ -336,9 +343,8 @@ def _transport_simplex(
     """Minimize <cost, plan> over the transportation polytope.
 
     Returns (tree, cost, stats): tree the optimal spanning tree as a
-    HungTree, whose read-only plan _certify certified optimal against
-    potentials tight on the tree, cost that plan's cost
-    fl(sum(plan * cost)), and stats the pivot counts. A tree
+    HungTree, cost its read-only plan's cost fl(sum(plan * cost)), which
+    the final pricing certifies optimal, and stats the pivot counts. A tree
     optimal for one cost matrix is a feasible start for any cost matrix
     with the same marginals; a start made for other marginals raises
     InternalInvariantError, as a record that does not span its problem
@@ -348,7 +354,10 @@ def _transport_simplex(
     Pricing is most-negative reduced cost, falling back to Bland's rule
     (first negative cell in row-major order) whenever a run of
     degenerate pivots suggests stalling; Bland's rule cannot cycle, so
-    the fallback guarantees termination. The leaving arc is the
+    the fallback guarantees termination. A reduced cost counts as
+    negative below -eps, eps = 1e-12 max|c_ij|, relative to the costs
+    alone, so that scaling them by a power of two scales every pricing
+    and leaves the pivots as they are. The leaving arc is the
     minimum-ratio cell with lexicographic tie-break, and the final flows
     are recomputed from the marginals on the optimal tree.
 
@@ -368,21 +377,23 @@ def _transport_simplex(
     stats are bit for bit those of the neighbour-set pivot loop kept as
     a reference in the tests.
 
+    Each pricing gives the weak-duality bound of _dual_bound, which less
+    its margin, the floor, is at most the cost the solve returns. The
+    certificate is the final pricing's: no reduced cost lies below -eps
+    there, so the returned cost may exceed that bound by at most the
+    margin plus eps times the mass sum(a); a larger gap raises
+    InternalInvariantError. The floor holds whatever the potentials are,
+    so a wrong tree or wrong potentials can only make the certificate
+    fail: no plan costlier than the optimum by more than twice the margin
+    plus that allowance passes.
+
     With refuse_at given, the solve may refuse instead, but only once it
-    has proved that the cost it would return is at least refuse_at; it
-    then returns (None, floor, stats), floor the certified lower bound it
-    compared with refuse_at and stats the pivots made so far. At each
-    pricing, the last one included, the row potentials u are raised by
-    the row minima of that pricing's reduced costs,
-    u'_i = u_i + min_j (c_ij - u_i - v_j), in exact arithmetic the
-    c-transform of the column potentials v, which makes (u', v) dual
-    feasible, so by weak duality a.u' + b.v bounds the optimal cost from
-    below. That bound less the rounding margin of _dual_margin (worked
-    out only when the bound alone reaches refuse_at) is the floor, at
-    most the cost the full solve returns, and the solve refuses when the
-    floor reaches refuse_at; a solve ending above refuse_at thus also
-    skips its final leaf elimination and certificate. A solve that does
-    not refuse returns what it returns without refuse_at, bit for bit.
+    has proved that the cost it would return is at least refuse_at: when
+    the floor of a pricing, the last one included, reaches refuse_at, it
+    returns (None, floor, stats), stats the pivots made so far. A solve
+    ending above refuse_at thus also skips its final leaf elimination and
+    certificate. A solve that does not refuse returns what it returns
+    without refuse_at, bit for bit.
     """
     m, n = cost.shape
     cmax = float(np.abs(cost).max())
@@ -390,7 +401,7 @@ def _transport_simplex(
     # reduced costs of 2 (m + n) - 1, so with this finite none overflows
     if not math.isfinite(4 * (m + n) * cmax):
         raise Unsupported("cost matrix has entries too large or not finite")
-    eps = 1e-12 * max(1.0, cmax)
+    eps = 1e-12 * cmax
     tree = HungTree(_northwest_tree(a, b), a, b) if start is None else start
     if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():
         raise InternalInvariantError("simplex start was made for other marginals")
@@ -405,13 +416,9 @@ def _transport_simplex(
         reduced = np.subtract(cost, rows, out=reduced)
         reduced -= cols
         if refuse_at is not None:
-            u = pot[:m] + reduced.min(axis=1)
-            bound = float(a @ u) + float(b @ pot[m:])
-            # the margin's maxima are worked out only when they can matter
-            if bound >= refuse_at:
-                floor = bound - _dual_margin(a, b, cmax, pot, u)
-                if floor >= refuse_at:
-                    return None, floor, SolveStats(pivots, degenerate, bland)
+            bound, margin = _dual_bound(a, b, cmax, pot, reduced, refuse_at)
+            if bound - margin >= refuse_at:
+                return None, bound - margin, SolveStats(pivots, degenerate, bland)
         if stalled <= stall_limit:
             flat = int(reduced.argmin())
             if reduced.item(flat) >= -eps:
@@ -504,21 +511,14 @@ def _transport_simplex(
     # with no pivot the tree is the start's record, plan and all
     if pivots:
         tree = HungTree(parent, a, b)
-    _certify(tree.plan, pot[:m], pot[m:], cost)
-    return tree, float((tree.plan * cost).sum()), SolveStats(pivots, degenerate, bland)
-
-
-def _certify(plan: np.ndarray, u: np.ndarray, v: np.ndarray, cost: np.ndarray):
-    """Optimality check: dual feasibility and complementary slackness."""
-    scale = max(1.0, float(np.abs(cost).max()))
-    reduced = cost - u[:, None] - v[None, :]
-    infeas = max(0.0, float(-reduced.min()))
-    slack = float(np.abs(plan * reduced).sum())
-    if infeas > CERTIFICATE_TOL * scale or slack > CERTIFICATE_TOL * scale:
+    paid = float((tree.plan * cost).sum())
+    bound, margin = _dual_bound(a, b, cmax, pot, reduced)
+    if paid - bound > margin + eps * float(a.sum()):
         raise InternalInvariantError(
-            f"optimality certificate failed (infeasibility {infeas:.3e}, "
-            f"slackness {slack:.3e})"
+            "optimality certificate failed: the cost exceeds its dual bound "
+            f"by {paid - bound:.3e}, its margin by more than eps sum(a)"
         )
+    return tree, paid, SolveStats(pivots, degenerate, bland)
 
 
 def solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:

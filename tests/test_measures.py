@@ -212,6 +212,29 @@ def test_is_close_ignores_atom_order():
     assert not a.is_close(c)
 
 
+def test_is_close_is_relative_to_the_atoms_scale():
+    # independent 4-atom 2-D measures with equal weights at scale 1e-10
+    # lie within an absolute 1e-9 of each other, but are not close
+    w = np.full(4, 0.25)
+    close = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        x, y = 1e-10 * rng.standard_normal((2, 4, 2))
+        close += DiscreteMeasure(x, w).is_close(DiscreteMeasure(y, w))
+    assert close == 0
+    # a permuted copy matches at every scale, and an explicit tol is absolute
+    rng = np.random.default_rng(7)
+    x, w = rng.standard_normal((5, 2)), rng.uniform(0.5, 1.5, 5)
+    order = rng.permutation(5)
+    for k in (-40, 0, 40):
+        mu = DiscreteMeasure(2.0**k * x, w / w.sum())
+        permuted = DiscreteMeasure(mu.atoms[order], mu.weights[order])
+        assert mu.is_close(permuted)
+    tiny = DiscreteMeasure(1e-10 * x, w / w.sum())
+    assert tiny.is_close(DiscreteMeasure(0.5e-10 * x, w / w.sum()), tol=1e-9)
+    assert not tiny.is_close(DiscreteMeasure(0.5e-10 * x, w / w.sum()))
+
+
 def test_same_measure_boundary_in_2d():
     """Tolerance 1e-10 bounds the Euclidean distance of each atom pair.
 

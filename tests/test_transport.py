@@ -229,6 +229,35 @@ def test_w2_matches_quantile_oracle():
         assert abs(result.cost - quantile_cost_1d(mu, nu)) < 1e-10
 
 
+def scaled(m, s):
+    return DiscreteMeasure(s * m.atoms, m.weights)
+
+
+def test_w2_follows_power_of_two_scaling_bit_for_bit():
+    # scaling the atoms by s = 2^k scales every squared distance by s^2
+    # exactly, and the pricing threshold, relative to max|c|, with them:
+    # the pivots, the plan and, scaled by s^2, the cost stay bit for bit
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        mu, nu = random_measure(rng, 2, 40), random_measure(rng, 2, 30)
+        unit = solve_w2(mu, nu)
+        for k in (-45, -40, -30, -20, -10, 10, 20, 40):
+            s = 2.0**k
+            got = solve_w2(scaled(mu, s), scaled(nu, s))
+            assert got.cost.hex() == (s * s * unit.cost).hex()
+            assert got.plan.plan.tobytes() == unit.plan.plan.tobytes()
+
+
+def test_greedy_subsample_follows_power_of_two_scaling():
+    for seed in range(10):
+        pts = np.random.default_rng(seed).standard_normal((40, 2))
+        unit = greedy_subsample(uniform(pts), 8)
+        for k in (-20, -30, -40):
+            got = greedy_subsample(uniform(2.0**k * pts), 8)
+            assert got.atoms.tobytes() == (2.0**k * unit.atoms).tobytes()
+            assert got.weights.tobytes() == unit.weights.tobytes()
+
+
 def test_bruteforce_guards():
     mu = uniform(np.arange(8.0))
     with pytest.raises(Unsupported):
@@ -240,13 +269,21 @@ def test_bruteforce_guards():
 
 @pytest.fixture
 def failing_certificate(monkeypatch):
-    """Every simplex answer is checked against potentials shifted by one."""
-    check = transport._certify
+    """Every simplex pricing's dual bound is taken with the first column
+    potential raised by t = 1e3 max|c| and that column's reduced costs
+    lowered to match: each row's minimum then falls in that column, and
+    the bound drops by about t times the other columns' mass. Raising
+    every column potential alike would cancel in the c-transform bound,
+    so one column alone is moved."""
+    bound = transport._dual_bound
 
-    def shifted_potentials(plan, u, v, cost):
-        check(plan, u + 1.0, v, cost)
+    def raised_column(a, b, cmax, pot, reduced, *at):
+        pot, reduced = pot.copy(), reduced.copy()
+        pot[a.size] += 1e3 * cmax
+        reduced[:, 0] -= 1e3 * cmax
+        return bound(a, b, cmax, pot, reduced, *at)
 
-    monkeypatch.setattr(transport, "_certify", shifted_potentials)
+    monkeypatch.setattr(transport, "_dual_bound", raised_column)
 
 
 def test_failed_certificate_is_internal_error(failing_certificate, capsys):
@@ -537,13 +574,14 @@ def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
     cells with tree_arcs and parent_list, and its set-up and final flows
     come from neighbour_set_flows, so it shares no tree code with the
     solver but the northwest corner start; its trees are ReferenceTree
-    records holding only their parent list and plan. It hands its
-    potentials to transport._certify as the solver does, where certified
-    reads them. pivots_seen, if given, collects
+    records holding only their parent list and plan. It certifies its
+    final pricing through transport._dual_bound as the solver does,
+    where certified reads its potentials. pivots_seen, if given, collects
     (cycle length, nodes cut off from row node 0, whether the shifted
     component holds row node 0) for every pivot."""
     m, n = cost.shape
-    eps = 1e-12 * max(1.0, float(np.abs(cost).max()))
+    cmax = float(np.abs(cost).max())
+    eps = 1e-12 * cmax
     tree = transport._northwest_tree(a, b) if start is None else start.parent
     adj = arc_neighbours(m, n, tree_arcs(m, tree))
     flows = neighbour_set_flows(m, n, adj, a, b)
@@ -620,10 +658,13 @@ def neighbour_set_simplex(a, b, cost, start=None, pivots_seen=None):
         raise InternalInvariantError("transportation simplex failed to terminate")
     flows = neighbour_set_flows(m, n, adj, a, b)
     plan = flows_plan(m, n, flows)
-    transport._certify(plan, u, v, cost)
+    paid = float((plan * cost).sum())
+    bound, margin = transport._dual_bound(a, b, cmax, np.concatenate([u, v]), reduced)
+    if paid - bound > margin + eps * float(a.sum()):
+        raise InternalInvariantError("optimality certificate failed")
     tree = ReferenceTree(tuple(parent_list(m, n, list(flows))), plan)
     stats = transport.SolveStats(pivots, degenerate, bland)
-    return tree, float((plan * cost).sum()), stats
+    return tree, paid, stats
 
 
 def seeded_transport_problem(seed):
@@ -651,20 +692,21 @@ def warm_problem(mu, nu):
 
 
 def certified(solve, *args, **options):
-    """solve(*args, **options) with the potentials it handed to
-    transport._certify: (tree, cost, stats, u, v), or the refusal
-    (None, floor, stats) it returned, which certifies nothing."""
-    check, seen = transport._certify, []
+    """solve(*args, **options) with the potentials of its final pricing,
+    the last it handed to transport._dual_bound, which certifies the
+    plan: (tree, cost, stats, u, v), or the refusal (None, floor, stats)
+    it returned, which certifies nothing."""
+    bound, seen = transport._dual_bound, []
 
-    def capture(plan, u, v, cost):
-        seen.append((u.copy(), v.copy()))
-        check(plan, u, v, cost)
+    def capture(a, b, cmax, pot, reduced, *at):
+        seen.append((pot[: a.size].copy(), pot[a.size :].copy()))
+        return bound(a, b, cmax, pot, reduced, *at)
 
-    transport._certify = capture
+    transport._dual_bound = capture
     try:
         result = solve(*args, **options)
     finally:
-        transport._certify = check
+        transport._dual_bound = bound
     return result if result[0] is None else (*result, *seen[-1])
 
 
@@ -782,9 +824,11 @@ def test_reference_comparisons_catch_mutated_walks(monkeypatch):
     flipped = mutated_transport(
         monkeypatch, "cycle[::2], cycle[1::2]", "cycle[1::2], cycle[::2]"
     )
-    # the mutant certifies through transport._certify, where certified
+    # the mutant certifies through transport._dual_bound, where certified
     # reads its potentials
-    monkeypatch.setattr(flipped, "_certify", lambda *args: transport._certify(*args))
+    monkeypatch.setattr(
+        flipped, "_dual_bound", lambda *args: transport._dual_bound(*args)
+    )
     for seed in range(3):
         rng = np.random.default_rng(seed)
         problem = warm_problem(random_measure(rng, 2, 3), random_measure(rng, 2, 4))
@@ -804,6 +848,27 @@ def test_reference_comparisons_catch_mutated_walks(monkeypatch):
     assert not any(
         same_duals(rerooted.HungTree, random_tree_duals(seed)) for seed in range(5)
     )
+
+
+def test_certificate_fails_a_solve_that_stops_at_its_first_pricing(monkeypatch):
+    # the pivot loop left at its first pricing returns the northwest corner
+    # tree, which is not optimal here: the certificate fails at every
+    # scale, also at 2^-40 and 2^-20, where a certificate with the floor
+    # 1e-9 max(1, max|c|) passed it
+    stopped = mutated_transport(
+        monkeypatch, "reduced.item(flat) >= -eps", "reduced.item(flat) >= -math.inf"
+    )
+    rng = np.random.default_rng(21)
+    mu, nu = random_measure(rng, 2, 6), random_measure(rng, 2, 7)
+    a, b = mu.weights, nu.weights
+    northwest = transport.HungTree(transport._northwest_tree(a, b), a, b)
+    for k in (-40, -20, 0, 20):
+        cost = sq_dists(2.0**k * mu.atoms, 2.0**k * nu.atoms)
+        assert exact_tree_gap(a, b, cost, northwest)[0] > 0
+        with pytest.raises(InternalInvariantError, match="certificate failed"):
+            stopped._transport_simplex(a, b, cost)
+        _, paid, stats = transport._transport_simplex(a, b, cost)
+        assert stats.pivots > 0 and paid < float((northwest.plan * cost).sum())
 
 
 def reports_its_plans_cost(result, cost):
@@ -1225,7 +1290,7 @@ def exact_tree_gap(a, b, cost, tree):
 def assert_exactly_optimal(a, b, cost, plan, tree):
     """The returned tree closes the exact gap; the plan is its flows."""
     gap, flows = exact_tree_gap(a, b, cost, tree)
-    assert abs(gap) <= 1e-12 * max(1.0, float(np.abs(cost).max()))
+    assert abs(gap) <= 1e-12 * float(np.abs(cost).max()), "primal-dual gap"
     assert min(flows.values()) >= -1e-15
     exact = np.zeros(cost.shape)
     for (i, j), f in flows.items():
@@ -1262,6 +1327,14 @@ def test_rational_oracle_catches_a_suboptimal_tree():
     assert gap > 1e-3
     with pytest.raises(AssertionError):
         assert_exactly_optimal(mu.weights, nu.weights, cost, plan, planted)
+    # the oracle's tolerance is relative to the costs: at coordinate scale
+    # 2^-30 the gap, scaled by 2^-60, is far below 1e-12 but still caught,
+    # with the planted tree's own flows as its plan
+    small = 2.0**-60 * cost
+    assert exact_tree_gap(mu.weights, nu.weights, small, planted)[0] < 1e-12
+    assert_exactly_optimal(mu.weights, nu.weights, small, plan, tree)
+    with pytest.raises(AssertionError, match="primal-dual gap"):
+        assert_exactly_optimal(mu.weights, nu.weights, small, planted.plan, planted)
 
 
 def interior_pair(n, d):
@@ -1359,9 +1432,10 @@ def test_search_on_degenerate_inputs(problem):
 def test_search_stop_is_relative_to_the_problem_scale():
     # coordinates scaled by s scale the residuals by s^2 and Wolfe's gap
     # by s^4; with the gap measured against the product plan's squared
-    # residual the search ends at the same relative residual. Gaussian
-    # clouds: on tied lattice atoms the simplex's absolute pricing floor
-    # already blinds the oracle from s = 1e-2 down
+    # residual the search ends at the same relative residual. The oracle's
+    # costs scale by s^4, and its pricing threshold with them: with one
+    # floored at 1e-12, 48 and 44 of these 50 searches ended elsewhere at
+    # s = 1e-4 and 1e-3
     for seed in range(50):
         rng = np.random.default_rng(seed)
         m, n = rng.integers(2, 9, 2)
@@ -1376,7 +1450,7 @@ def test_search_stop_is_relative_to_the_problem_scale():
             return optimize_mixed_operator(mu, nu, s * s * target)
 
         unit = search(1.0)
-        for s in (1e-2, 1e3):
+        for s in (1e-4, 1e-3, 1e-2, 1e3):
             scaled = search(s).residual / s**2
             assert abs(scaled - unit.residual) <= 1e-6 * unit.residuals[0]
 

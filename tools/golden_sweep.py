@@ -232,6 +232,17 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
     put("rounding", "pow2_m20_6x2", _measure_doc(2.0**-20 * x, w))
     put("matrix", "offsets_pow2_m20_6x2",
         {"entries": (2.0**20 * pow2_rng.standard_normal((6, 2))).tolist()})
+    # one seeded 40 x 30 non-uniform 2-D pair at the exact scales 2^-20 and
+    # 2^-30, and a seeded 40-point 2-D cloud at 2^-30 (own generator): the
+    # W2 plan and the subsample must not depend on the scale
+    w2_rng = np.random.default_rng(4030)
+    x, y = w2_rng.standard_normal((40, 2)), w2_rng.standard_normal((30, 2))
+    wx, wy = _weights(w2_rng, 40), _weights(w2_rng, 30)
+    for k in (20, 30):
+        put("rounding", f"pow2_m{k}_40x2", _measure_doc(2.0**-k * x, wx))
+        put("rounding", f"pow2_m{k}_30x2", _measure_doc(2.0**-k * y, wy))
+    put("rounding", "pow2_m30_cloud",
+        _measure_doc(2.0**-30 * w2_rng.standard_normal((40, 2)), _weights(w2_rng, 40)))
 
     # couplings: exact and approximate duals, products, m != n
     put("coupling", "cloud_dual",
@@ -424,6 +435,9 @@ def sweep_argvs(groups: dict[str, list[str]], root: str) -> list[list[str]]:
         ["analyze", gen("pow2_p40_4x2")],
         ["canonical-dual", gen("pow2_p40_4x2")],
         ["pushforward", gen("pow2_m20_6x2"), "--offsets", gen("offsets_pow2_m20_6x2")],
+        ["w2", gen("pow2_m20_40x2"), gen("pow2_m20_30x2")],
+        ["w2", gen("pow2_m30_40x2"), gen("pow2_m30_30x2")],
+        ["sample-dual", gen("pow2_m30_cloud"), "--samples", "24"],
         # negative exactness tolerances are bad input
         ["canonical-dual", "axes_2d", "--tol", "-0.5"],
         ["certify", "permuted_axes_coupling", "--tol", "-1"],
