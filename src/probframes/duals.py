@@ -37,6 +37,7 @@ from .numerics import inverse, spectral_norm
 from .transport import Coupling, mixed_frame_operator, push_target
 
 EXACT_TOL = 1e-9
+EQUALITY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,14 @@ class BoundInequalities:
     target_equality: bool
 
 
-def bound_inequalities(c: Coupling, tol: float = 1e-8) -> BoundInequalities:
+def bound_inequalities(c: Coupling) -> BoundInequalities:
     """Slacks of the two guaranteed lower-bound inequalities.
 
     target_slack = A_nu - 1/(B_mu ||A^{-1}||^2) and symmetrically for
     the source; both are nonnegative up to roundoff, with equality
     exactly for canonical dual pairs. A side reads as an equality when
-    its |slack| <= tol times its own lower bound, so the flags do not
-    change when the atoms are scaled.
+    its |slack| <= EQUALITY_RTOL times its own lower bound, so the flags
+    do not change when the atoms are scaled.
     """
     source_report = analyze(c.source)
     target_report = analyze(c.target)
@@ -244,8 +245,8 @@ def bound_inequalities(c: Coupling, tol: float = 1e-8) -> BoundInequalities:
         inverse_norm=inv_norm,
         source_slack=source_slack,
         target_slack=target_slack,
-        source_equality=abs(source_slack) <= tol * source_report.lower_bound,
-        target_equality=abs(target_slack) <= tol * target_report.lower_bound,
+        source_equality=abs(source_slack) <= EQUALITY_RTOL * source_report.lower_bound,
+        target_equality=abs(target_slack) <= EQUALITY_RTOL * target_report.lower_bound,
     )
 
 

@@ -8,7 +8,6 @@ ships as a generated file; regenerate_cloud() reproduces it bit for bit.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ CLOUD_SIZE = 100
 
 
 def fixture_path(name: str) -> Path:
-    folder = Path(str(resources.files("probframes") / "fixtures"))
+    folder = Path(__file__).with_name("fixtures")
     path = folder / f"{name}.json"
     if not path.exists():
         known = ", ".join(sorted(p.stem for p in folder.glob("*.json")))

@@ -51,19 +51,19 @@ def frame_operator(m: DiscreteMeasure) -> np.ndarray:
     return (m.atoms * m.weights[:, None]).T @ m.atoms
 
 
-def analyze(m: DiscreteMeasure, tol: float = FRAME_RTOL) -> FrameReport:
+def analyze(m: DiscreteMeasure) -> FrameReport:
     """Optimal frame bounds and tightness flags.
 
     The bounds are the extreme eigenvalues of the frame operator, which
     are optimal because x^T S x is exactly the integral of <x, y>^2.
-    A measure counts as a frame when lambda_min > tol * lambda_max, a
-    test that scaling the atoms does not change; a measure whose atoms
-    are all zero is not a frame.
+    A measure counts as a frame when lambda_min > FRAME_RTOL *
+    lambda_max, a test that scaling the atoms does not change; a measure
+    whose atoms are all zero is not a frame.
     """
     s = frame_operator(m)
     w = eig_sym(s)
     lo, hi = float(w[0]), float(w[-1])
-    is_frame = lo > tol * hi
+    is_frame = lo > FRAME_RTOL * hi
     is_tight = is_frame and (hi - lo) <= TIGHT_RTOL * hi
     is_parseval = is_tight and abs(hi - 1.0) <= TIGHT_RTOL
     return FrameReport(

@@ -219,13 +219,12 @@ def uniform(atoms) -> DiscreteMeasure:
     return DiscreteMeasure(a, np.full(a.shape[0], 1.0) / a.shape[0])
 
 
-def validate(
-    m: DiscreteMeasure, merge_duplicates: bool = False, tol: float | None = None
-) -> DiscreteMeasure:
-    """m itself, or m.coalesce(tol) when merge_duplicates is set.
-    Construction has already checked it, and the record holds read-only
-    copies, so there is nothing to check again."""
-    return m.coalesce(tol) if merge_duplicates else m
+def validate(m: DiscreteMeasure, merge_duplicates: bool = False) -> DiscreteMeasure:
+    """m itself, or m.coalesce() (within the merge radius, relative to
+    the atoms' scale) when merge_duplicates is set. Construction has
+    already checked it, and the record holds read-only copies, so there
+    is nothing to check again."""
+    return m.coalesce() if merge_duplicates else m
 
 
 def mixture(measures, coefficients) -> DiscreteMeasure:

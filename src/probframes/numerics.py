@@ -79,14 +79,10 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def numeric_rank(m, tol: float | None = None) -> int:
-    """Number of singular values above tol (default RANK_RTOL * sigma_max)."""
+def numeric_rank(m) -> int:
+    """Number of singular values above RANK_RTOL * sigma_max."""
     s = np.linalg.svd(as_matrix(m), compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    if tol is None:
-        tol = RANK_RTOL * s[0]
-    return int(np.count_nonzero(s > tol))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def sq_dists(x, y) -> np.ndarray:

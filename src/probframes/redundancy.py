@@ -10,8 +10,6 @@ frames, which is the cross-check exposed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import Singular
@@ -20,25 +18,21 @@ from .measures import DiscreteMeasure
 from .numerics import inverse, numeric_rank
 
 
-@dataclass(frozen=True)
-class SynthesisMatrix:
-    """Matrix of the synthesis operator: column i is w_i x_i."""
-
-    matrix: np.ndarray
+def synthesis_matrix(m: DiscreteMeasure) -> np.ndarray:
+    """The d x N matrix of the synthesis operator: column i is w_i x_i."""
+    return (m.atoms * m.weights[:, None]).T
 
 
-def synthesis_matrix(m: DiscreteMeasure) -> SynthesisMatrix:
-    return SynthesisMatrix((m.atoms * m.weights[:, None]).T)
-
-
-def redundancy_rank(m: DiscreteMeasure, tol: float | None = None) -> int:
+def redundancy_rank(m: DiscreteMeasure) -> int:
     """Kernel dimension of the synthesis operator.
 
-    Duplicate atoms are merged first so the count reflects the support,
-    not the listing.
+    Duplicate atoms are merged first, within the package's merge radius,
+    so the count reflects the support, not the listing; the rank counts
+    singular values above RANK_RTOL times the largest. Both are relative
+    to the atoms' scale.
     """
     merged = m.coalesce()
-    return merged.size - numeric_rank(synthesis_matrix(merged).matrix, tol)
+    return merged.size - numeric_rank(synthesis_matrix(merged))
 
 
 def redundancy_trace(m: DiscreteMeasure) -> float:

@@ -26,9 +26,9 @@ def test_ladder_of_fixture_redundancies():
 def test_synthesis_matrix_columns():
     m = DiscreteMeasure([[1.0, 0.0], [0.0, 1.0]], [0.25, 0.75])
     sm = synthesis_matrix(m)
-    assert sm.matrix.shape == (2, 2)
-    np.testing.assert_allclose(sm.matrix[:, 0], [0.25, 0.0])
-    np.testing.assert_allclose(sm.matrix[:, 1], [0.0, 0.75])
+    assert sm.shape == (2, 2)
+    np.testing.assert_allclose(sm[:, 0], [0.25, 0.0])
+    np.testing.assert_allclose(sm[:, 1], [0.0, 0.75])
 
 
 def test_routes_agree_on_random_frames():
