@@ -323,7 +323,10 @@ def greedy_subsample(eta: DiscreteMeasure, n: int) -> DiscreteMeasure:
     every other column where the incumbent has it. All subsample columns
     weigh 1/n, so the incumbent's optimal tree is a feasible warm start
     for the trial as it stands, whose costs differ from the incumbent's
-    only in the candidate's column.
+    only in the candidate's column. The incumbent's record also carries
+    the duals that certified it (transport.HungTree.duals), and the solve
+    prices the trial's cost against them first: most trials are refused
+    on that floor, before the solve's set-up.
     """
     if n < 1:
         raise TooFewSamples(f"subsample size {n} is below 1")

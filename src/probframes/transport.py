@@ -229,18 +229,26 @@ def _arc(m: int, child: int, parent: int) -> tuple[int, int]:
 class HungTree:
     """A simplex basis: a parent list hung from row node 0 (see
     _tree_flows) and the read-only plan leaf elimination writes for it
-    from the marginals a and b. Its walk is made once, when first used."""
+    from the marginals a and b. Its walk is made once, when first used.
+
+    duals are the potentials, rows' then columns', that the final pricing
+    of the solve that built the record certified, read-only; a record
+    built from a bare parent list, the northwest start among them,
+    carries None."""
 
     parent: tuple[int, ...]
     a: np.ndarray
     b: np.ndarray
+    duals: np.ndarray | None = field(default=None, repr=False)
     plan: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
         plan = _tree_flows(a.size, b.size, self.parent, a, b)
-        for name, value in (("a", a), ("b", b), ("plan", plan)):
-            value.setflags(write=False)
+        duals = None if self.duals is None else np.array(self.duals, dtype=float)
+        for name, value in (("a", a), ("b", b), ("plan", plan), ("duals", duals)):
+            if value is not None:
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "parent", tuple(self.parent))
 
@@ -294,8 +302,9 @@ def _dual_bound(a, b, cmax: float, pot, reduced, at=-math.inf) -> tuple[float, f
     one bound on which _transport_simplex refuses a trial and certifies
     the plan it returns.
 
-    cmax is max|c_ij|, pot the tree's potentials, the rows' pot_i and
-    then the columns' v_j, and reduced the pricing's reduced costs
+    cmax is max|c_ij|, pot any potentials, the rows' pot_i and then the
+    columns' v_j: a pricing's, or the duals a start record carries from
+    the solve that certified it, and reduced their reduced costs
     fl(fl(c_ij - pot_i) - v_j). The row potentials are raised by the row
     minima, u_i = pot_i + min_j reduced_ij, in exact arithmetic the
     c-transform of v, so that (u, v) is dual feasible up to rounding
@@ -370,12 +379,12 @@ def _transport_simplex(
     entering cell to their lowest common ancestor, which gives the
     cycle. The leaving arc cuts off the subtree below its child;
     that subtree alone is re-hung from the entering arc, reversing the
-    parent path between them, and walked for its new depths. The
-    potentials of the side holding the entering column are shifted,
-    through a mask when that is the root side. Every float operation is
-    the one a walk of the whole tree would make, so plans, trees and
-    stats are bit for bit those of the neighbour-set pivot loop kept as
-    a reference in the tests.
+    parent path between them, and walked for its new depths; the walk
+    marks it in a mask of the nodes. The potentials of the side holding
+    the entering column, the subtree or the rest, are shifted through
+    that mask. Every float operation is the one a walk of the whole tree
+    would make, so plans, trees and stats are bit for bit those of the
+    neighbour-set pivot loop kept as a reference in the tests.
 
     Each pricing gives the weak-duality bound of _dual_bound, which less
     its margin, the floor, is at most the cost the solve returns. The
@@ -392,8 +401,14 @@ def _transport_simplex(
     the floor of a pricing, the last one included, reaches refuse_at, it
     returns (None, floor, stats), stats the pivots made so far. A solve
     ending above refuse_at thus also skips its final leaf elimination and
-    certificate. A solve that does not refuse returns what it returns
-    without refuse_at, bit for bit.
+    certificate. A start that a solve built carries the duals its
+    certificate priced (HungTree.duals), and the floor holds for any
+    potentials: the cost is priced against those duals first, and once
+    their floor reaches refuse_at the solve returns (None, floor,
+    SolveStats(0, 0, 0)) before it reads the walk or makes a potentials
+    pass. A solve that does not refuse returns what it returns without
+    refuse_at, bit for bit; one that would end below refuse_at never
+    refuses, as its floors are at most its cost.
     """
     m, n = cost.shape
     cmax = float(np.abs(cost).max())
@@ -405,10 +420,19 @@ def _transport_simplex(
     tree = HungTree(_northwest_tree(a, b), a, b) if start is None else start
     if tree.a.tobytes() != a.tobytes() or tree.b.tobytes() != b.tobytes():
         raise InternalInvariantError("simplex start was made for other marginals")
+    reduced = None
+    if refuse_at is not None and tree.duals is not None:
+        # the floor holds for any potentials: price the cost against the
+        # start's certified duals before the set-up
+        duals = tree.duals
+        reduced = np.subtract(cost, duals[:m, None])
+        reduced -= duals[None, m:]
+        bound, margin = _dual_bound(a, b, cmax, duals, reduced, refuse_at)
+        if bound - margin >= refuse_at:
+            return None, bound - margin, SolveStats(0, 0, 0)
     parent, (depth, flow, nbrs, *_) = tree.parent, tree.walk
     pot = np.array(tree.potentials(cost))
     rows, cols = pot[:m, None], pot[None, m:]
-    reduced = None
     stall_limit = 30 + (m + n) // 2
     stalled = 0
     degenerate = bland = 0
@@ -439,7 +463,8 @@ def _transport_simplex(
             # a shift by delta lowers row potentials and raises column ones
             sign = np.ones(m + n)
             sign[m:] = -1.0
-            side = np.empty(m + n, dtype=bool)
+            marks = bytearray(m + n)
+            side = np.frombuffer(marks, dtype=bool)
 
         # climb from both ends of the entering cell (ei, ej) to their
         # lowest common ancestor. The tree path from column node m + ej to
@@ -487,30 +512,29 @@ def _transport_simplex(
             if k == out:
                 break
             k, up, f = nxt, k, fk
-        depth[x] = depth[y] + 1
-        subtree, stack = [x], [x]
+        # the side holding m + ej has its potentials shifted by the old
+        # reduced cost so the entering arc becomes tight: the cut subtree
+        # if it holds m + ej, else every node outside it. The walk marks
+        # the subtree in side as it goes
+        inside = x != ei
+        side.fill(not inside)
+        depth[x], marks[x] = depth[y] + 1, inside
+        stack = [x]
         while stack:
             k = stack.pop()
             up, below = parent[k], depth[k] + 1
             for w in nbrs[k]:
                 if w != up:
-                    depth[w] = below
-                    subtree.append(w)
+                    depth[w], marks[w] = below, inside
                     stack.append(w)
-
-        # shift the potentials of the side holding m + ej by the old
-        # reduced cost so the entering arc becomes tight: the cut subtree
-        # if it holds m + ej, else every node outside it
-        side.fill(x == ei)
-        side[subtree] = x != ei
         np.subtract(pot, sign * delta, out=pot, where=side)
     else:
         raise InternalInvariantError("transportation simplex failed to terminate")
 
     # final flows recomputed from the marginals, so the plan is exact;
-    # with no pivot the tree is the start's record, plan and all
+    # with no pivot the tree is the start's record, plan and duals and all
     if pivots:
-        tree = HungTree(parent, a, b)
+        tree = HungTree(parent, a, b, pot)
     paid = float((tree.plan * cost).sum())
     bound, margin = _dual_bound(a, b, cmax, pot, reduced)
     if paid - bound > margin + eps * float(a.sum()):

@@ -112,7 +112,8 @@ def test_replay_records_each_solve_and_restores_the_solver(solve_replay, monkeyp
     refusal = run["solves"][2]
     assert (refusal["floor"], refusal["pivots"]) == (floor, stats.pivots)
     assert solve_replay._solve_counts([run]) == (
-        f"3 solves (1 refused, making {stats.pivots} pivots)"
+        f"3 solves (1 refused, {int(not stats.pivots)} with no pivot, "
+        f"making {stats.pivots} pivots)"
     )
     # the solver is restored
     assert transport._transport_simplex is solve
@@ -120,9 +121,9 @@ def test_replay_records_each_solve_and_restores_the_solver(solve_replay, monkeyp
 
 def test_compare_sums_the_pivots_of_refused_solves(solve_replay, capsys):
     new = run(ended(), refused(0.5, floor=0.75, pivots=4),
-              refused(0.5, cost="d", pivots=3))
-    old = run(ended(), refused(0.5), refused(0.5, cost="d"))
+              refused(0.5, cost="d", pivots=3), refused(0.5, cost="e", pivots=0))
+    old = run(ended(), refused(0.5), refused(0.5, cost="d"), refused(0.5, cost="e"))
     assert solve_replay.compare(old, new) == 0
-    assert "3 solves (2 refused, making 7 pivots), 0 runs differ" in (
+    assert "4 solves (3 refused, 1 with no pivot, making 7 pivots), 0 runs differ" in (
         capsys.readouterr().out
     )

@@ -997,6 +997,99 @@ def test_greedy_swap_solves_start_near_optimal(monkeypatch):
         assert ended <= max_ended
 
 
+def counted_potentials(monkeypatch):
+    """A list that grows by one at each HungTree.potentials pass."""
+    passes = []
+    potentials = transport.HungTree.potentials
+
+    def counting(tree, cost):
+        passes.append(tree)
+        return potentials(tree, cost)
+
+    monkeypatch.setattr(transport.HungTree, "potentials", counting)
+    return passes
+
+
+def test_solved_records_carry_the_duals_their_certificate_priced(monkeypatch):
+    # a record a solve builds holds, read-only, the potentials of the
+    # final pricing that certified it; one built from a bare parent list,
+    # the northwest start among them, holds none
+    solve = transport._transport_simplex
+    built = 0
+    for seed in range(60):
+        a, b, cost, other = seeded_transport_problem(seed)
+        cold = certified(solve, a, b, cost)
+        warm = certified(solve, a, b, other, start=cold[0])
+        for tree, _, stats, u, v in (cold, warm):
+            if stats.pivots:
+                built += 1
+                assert tree.duals.tobytes() == np.concatenate([u, v]).tobytes()
+                assert not tree.duals.flags.writeable
+        assert transport.HungTree(transport._northwest_tree(a, b), a, b).duals is None
+    assert built > 50
+    # a start with duals refuses on them before its set-up; a start
+    # without refuses at its first pricing, after a potentials pass
+    a, b, cost, other = seeded_transport_problem(3)
+    start = solve(a, b, cost)[0]
+    bare = transport.HungTree(list(start.parent), a, b)
+    assert bare.duals is None and start.duals is not None
+    passes = counted_potentials(monkeypatch)
+    for tree, made in ((start, 0), (bare, 1)):
+        passes.clear()
+        refused = solve(a, b, other, start=tree, refuse_at=-np.inf)
+        assert refused[0] is None and refused[2] == transport.SolveStats(0, 0, 0)
+        assert len(passes) == made
+
+
+def test_a_trial_its_start_duals_price_above_the_threshold_is_refused_at_set_up(
+    monkeypatch,
+):
+    # the greedy's trial shape: one column of the incumbent's cost changed,
+    # here to cost clearly more in every row; the incumbent's duals refuse
+    # it before the set-up reads the walk or makes a potentials pass
+    rng = np.random.default_rng(11)
+    eta = random_measure(rng, 2, 40)
+    a, b = eta.weights, np.full(8, 1.0 / 8)
+    cost = sq_dists(eta.atoms, eta.atoms[:8])
+    start, paid, stats = transport._transport_simplex(a, b, cost)
+    assert stats.pivots and start.duals is not None
+    trial = cost.copy()
+    trial[:, 3] += cost.max()
+    threshold = paid * (1.0 - 1e-12)
+    passes = counted_potentials(monkeypatch)
+    tree, floor, stats = transport._transport_simplex(
+        a, b, trial, start=start, refuse_at=threshold
+    )
+    assert tree is None and stats == transport.SolveStats(0, 0, 0)
+    # the record's walk is made when a solve first reads it
+    assert not passes and "walk" not in vars(start)
+    full = transport._transport_simplex(a, b, trial, start=start)[1]
+    assert threshold <= floor <= full
+
+
+def test_greedy_trials_are_refused_on_their_start_duals(monkeypatch):
+    # the search makes 222 and 388 warm solves; the incumbent's duals
+    # refuse 120 and 193 of them before a potentials pass
+    solve = transport._transport_simplex
+    eta = load_measure("shifted_gauss_100")
+    passes = counted_potentials(monkeypatch)
+    for n, at_least in ((12, 100), (20, 180)):
+        trials = early = 0
+
+        def counting(a, b, cost, start=None, refuse_at=None):
+            nonlocal trials, early
+            made = len(passes)
+            result = solve(a, b, cost, start=start, refuse_at=refuse_at)
+            if start is not None:
+                trials += 1
+                early += result[0] is None and len(passes) == made
+            return result
+
+        monkeypatch.setattr(transport, "_transport_simplex", counting)
+        greedy_subsample(eta, n)
+        assert trials > 200 and early > at_least
+
+
 def test_simplex_out_of_pivots_is_internal_error(monkeypatch):
     mu = load_measure("axes_2d")
     assert solve_w2(mu, mu).w2 == 0.0
@@ -1193,10 +1286,11 @@ def test_simplex_trees_are_parent_lists_of_their_plans(problem):
 
 def record_state(tree):
     """Everything a tree record holds, its walk included, copied as bytes
-    and a repr that a later mutation would not change."""
+    and a repr that a later mutation would not change; its duals last."""
     *lists, cells = tree.walk
     arrays = (tree.a, tree.b, tree.plan, cells)
-    return tree.parent, [x.tobytes() for x in arrays], repr(lists)
+    duals = None if tree.duals is None else tree.duals.tobytes()
+    return tree.parent, [x.tobytes() for x in arrays], repr(lists), duals
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1208,8 +1302,9 @@ def test_warm_solves_carry_their_start_record(problem):
     start = transport._transport_simplex(a, b, cost)[0]
     # the same tree rebuilt from its bare parent list
     rebuilt = transport.HungTree(list(start.parent), a, b)
-    before = record_state(start)
-    assert record_state(rebuilt) == before
+    before, bare = record_state(start), record_state(rebuilt)
+    # all but the duals, which only a record a solve built carries
+    assert bare[:-1] == before[:-1] and bare[-1] is None
     calls = []
     tree_flows = transport._tree_flows
 
@@ -1236,7 +1331,7 @@ def test_warm_solves_carry_their_start_record(problem):
         # the returned cost is the plan's, with pivots or none
         assert reports_its_plans_cost(warm, warm_cost)
         # no solve changes its start
-        assert record_state(start) == record_state(rebuilt) == before
+        assert record_state(start) == before and record_state(rebuilt) == bare
 
 
 def exact_tree_gap(a, b, cost, tree):

@@ -29,9 +29,9 @@ cost at or above the threshold, so the trial would have been refused
 anyway. ``compare`` prints every run that does not agree and exits 1
 if there is one; it also counts the solves that ended on one side and
 were refused on the other, which a stronger or weaker refusal bound
-changes even when every run agrees, and the pivots that refused solves
-made. Float bits may differ between BLAS builds, so compare only
-records made on one machine.
+changes even when every run agrees, the refused solves that made no
+pivot and the pivots that refused solves made. Float bits may differ
+between BLAS builds, so compare only records made on one machine.
 """
 
 from __future__ import annotations
@@ -130,8 +130,11 @@ def _kind(entry: dict) -> str:
 def _solve_counts(runs: list[dict]) -> str:
     solves = [s for r in runs for s in r["solves"]]
     refused = [s for s in solves if _kind(s) == "refused_at"]
-    pivots = sum(s["pivots"] for s in refused)
-    return f"{len(solves)} solves ({len(refused)} refused, making {pivots} pivots)"
+    pivots = [s["pivots"] for s in refused]
+    return (
+        f"{len(solves)} solves ({len(refused)} refused, {pivots.count(0)} with no "
+        f"pivot, making {sum(pivots)} pivots)"
+    )
 
 
 def _disagreement(p: dict, q: dict) -> str | None:
